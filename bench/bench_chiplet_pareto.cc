@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <iostream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "bench_common.hh"
@@ -138,10 +139,10 @@ main()
         }) * 1e3 / count;
         rows.push_back(row);
 
-        std::printf("%7zu %17.1f %19.1f %17.1f %9.2fx%s\n",
+        std::printf("%7zu %17.1f %19.1f %17.1f %10s%s\n",
                     row.candidates, row.serial_us_per_candidate,
                     row.threads8_us_per_candidate,
-                    row.scalar_us_per_candidate, row.speedup(),
+                    row.scalar_us_per_candidate, bench::speedupText(row.speedup()).c_str(),
                     row.bitwise_identical ? "" : "  [MISMATCH]");
     }
 
@@ -157,7 +158,7 @@ main()
              << row.threads8_us_per_candidate
              << ", \"scalar_us_per_candidate\": "
              << row.scalar_us_per_candidate
-             << ", \"speedup\": " << row.speedup()
+             << ", \"speedup\": " << bench::speedupJson(row.speedup())
              << ", \"bitwise_identical\": "
              << (row.bitwise_identical ? "true" : "false") << "}"
              << (i + 1 < rows.size() ? "," : "") << "\n";

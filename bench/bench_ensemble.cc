@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <iostream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "bench_common.hh"
@@ -117,9 +118,9 @@ main()
             threads8_ms * 1e3 / static_cast<double>(n);
         rows.push_back(row);
 
-        std::printf("%7zu %17.1f %17.1f %19.1f %9.2fx%s\n", n,
+        std::printf("%7zu %17.1f %17.1f %19.1f %10s%s\n", n,
                     row.sample_us_per_path, row.serial_us_per_path,
-                    row.threads8_us_per_path, row.speedup(),
+                    row.threads8_us_per_path, bench::speedupText(row.speedup()).c_str(),
                     row.bitwise_identical ? "" : "  [MISMATCH]");
     }
 
@@ -132,7 +133,7 @@ main()
              << ", \"sample_us_per_path\": " << row.sample_us_per_path
              << ", \"serial_us_per_path\": " << row.serial_us_per_path
              << ", \"threads8_us_per_path\": " << row.threads8_us_per_path
-             << ", \"speedup\": " << row.speedup()
+             << ", \"speedup\": " << bench::speedupJson(row.speedup())
              << ", \"bitwise_identical\": "
              << (row.bitwise_identical ? "true" : "false") << "}"
              << (i + 1 < rows.size() ? "," : "") << "\n";

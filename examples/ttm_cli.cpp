@@ -12,7 +12,7 @@
  *           [--skip-failures]
  *           [--trace=trace.json] [--metrics=metrics.json]
  *           [--manifest=manifest.json]
- *           [--sobol[=N]] [--seed s] [--threads t] [--retries r]
+ *           [--sobol[=N]] [--seed s] [--threads t]
  *           [--deadline=seconds] [--checkpoint=file] [--resume=file]
  *
  * With --all-nodes, the design is re-targeted to every in-production
@@ -47,8 +47,8 @@
  * distributions with bootstrap confidence intervals.
  * --ensemble-config supplies the disruption spec as JSON (default: a
  * moderate process on every node the design uses). The same
- * resilience flags (--deadline/--checkpoint/--resume/--retries/
- * --skip-failures) apply, with the same exit codes as --sobol.
+ * resilience flags (--deadline/--checkpoint/--resume/--skip-failures)
+ * apply, with the same exit codes as --sobol.
  *
  * --chiplet-pareto switches to chiplet-economics mode: the design's
  * transistor budget is swept over partition count x node assignment x
@@ -57,8 +57,8 @@
  * and the 3-D Pareto frontier is printed with %.17g. --chiplet-config
  * supplies the sweep spec as JSON (default: partitions {1,2,4} x the
  * design's own nodes x redundancy {0,1}, single-sourced). The same
- * resilience flags (--deadline/--checkpoint/--resume/--retries/
- * --skip-failures) apply, with the same exit codes as --sobol.
+ * resilience flags (--deadline/--checkpoint/--resume/--skip-failures)
+ * apply, with the same exit codes as --sobol.
  *
  * Exit codes: 0 = clean run; 1 = hard error; 2 = completed but
  * degraded (--skip-failures dropped points) or a usage error; 3 =
@@ -96,7 +96,6 @@
 #include "support/checkpoint.hh"
 #include "support/metrics.hh"
 #include "support/outcome.hh"
-#include "support/retry.hh"
 #include "support/run_manifest.hh"
 #include "support/strutil.hh"
 #include "support/trace.hh"
@@ -132,7 +131,6 @@ struct CliArgs
     std::string chiplet_config;
     std::uint64_t seed = 2023;
     std::size_t threads = 0;
-    std::uint32_t retries = 1;
     double deadline_s = 0.0;
     std::string checkpoint_file;
     std::string resume_file;
@@ -158,7 +156,7 @@ usage()
            "              [--sobol[=N]] [--seed s] [--threads t]\n"
            "              [--ensemble[=N]] [--ensemble-config=file.json]\n"
            "              [--chiplet-pareto] [--chiplet-config=file.json]\n"
-           "              [--retries r] [--deadline=seconds]\n"
+           "              [--deadline=seconds]\n"
            "              [--checkpoint=file] [--resume=file]\n";
     std::exit(2);
 }
@@ -178,7 +176,7 @@ parseArgs(int argc, char** argv)
         {"--sobol", 2},      {"--seed", 1},     {"--threads", 1},
         {"--ensemble", 2},   {"--ensemble-config", 1},
         {"--chiplet-pareto", 0}, {"--chiplet-config", 1},
-        {"--retries", 1},    {"--deadline", 1}, {"--checkpoint", 1},
+        {"--deadline", 1},   {"--checkpoint", 1},
         {"--resume", 1},
     };
     for (int i = 1; i < argc; ++i) {
@@ -262,9 +260,6 @@ parseArgs(int argc, char** argv)
                 args.seed = std::stoull(value);
             else if (flag == "--threads")
                 args.threads = std::stoull(value);
-            else if (flag == "--retries")
-                args.retries =
-                    static_cast<std::uint32_t>(std::stoul(value));
             else if (flag == "--deadline")
                 args.deadline_s = std::stod(value);
             else if (flag == "--checkpoint")
@@ -448,8 +443,8 @@ g17(double value)
 /**
  * Resumable-batch mode (--sobol): a Sobol sensitivity analysis of TTM
  * over three scale factors (N_TT, D0, L_fab), wired into the
- * resilience layer: cooperative deadline/SIGINT stop, deterministic
- * per-point retry, and atomic checkpoint/resume. Indices print with
+ * resilience layer: cooperative deadline/SIGINT stop and atomic
+ * checkpoint/resume. Indices print with
  * %.17g, so a straight run and a killed-and-resumed run produce
  * bitwise-identical stdout. Returns the process exit code.
  */
@@ -492,12 +487,6 @@ runSobolBatch(const TechnologyDb& db, const ChipDesign& design,
                                  ? FailurePolicy::skipAndRecord()
                                  : FailurePolicy();
     options.cancel = &token;
-    if (args.retries > 1) {
-        options.retry = RetryPolicy::immediate(args.retries);
-        options.retry.seed = args.seed;
-    }
-    RetryStats retry_stats;
-    options.retry_stats = &retry_stats;
     FailureReport report;
     options.failure_report = &report;
 
@@ -535,7 +524,6 @@ runSobolBatch(const TechnologyDb& db, const ChipDesign& design,
             throw;
     }
 
-    manifest.total_retries = retry_stats.extra_attempts;
     manifest.addFailureReport(report);
     if (options.checkpoint != nullptr) {
         // Final flush: the auto-flush cadence only covers multiples of
@@ -611,8 +599,7 @@ printEnsembleGroup(const EnsembleGroup& group)
  * docs/SCENARIOS.md) evaluated through the timeline TTM model and
  * reduced to per-regime TTM/CAS distributions with bootstrap CIs.
  * Wired into the same resilience stack as --sobol: cooperative
- * deadline/SIGINT stop, deterministic per-path retry, and atomic
- * checkpoint/resume. All numbers print with %.17g, so a straight run
+ * deadline/SIGINT stop and atomic checkpoint/resume. All numbers print with %.17g, so a straight run
  * and a killed-and-resumed run produce bitwise-identical stdout.
  * Returns the process exit code.
  */
@@ -662,12 +649,6 @@ runEnsembleBatch(const TechnologyDb& db, const ChipDesign& design,
                                  ? FailurePolicy::skipAndRecord()
                                  : FailurePolicy();
     options.cancel = &token;
-    if (args.retries > 1) {
-        options.retry = RetryPolicy::immediate(args.retries);
-        options.retry.seed = args.seed;
-    }
-    RetryStats retry_stats;
-    options.retry_stats = &retry_stats;
     FailureReport report;
     options.failure_report = &report;
 
@@ -704,7 +685,6 @@ runEnsembleBatch(const TechnologyDb& db, const ChipDesign& design,
             throw;
     }
 
-    manifest.total_retries = retry_stats.extra_attempts;
     manifest.addFailureReport(report);
     if (options.checkpoint != nullptr) {
         checkpoint.writeAtomic(args.checkpoint_file);
@@ -757,8 +737,7 @@ runEnsembleBatch(const TechnologyDb& db, const ChipDesign& design,
  * candidate on TTM, CAS, and redundancy-aware chiplet cost, and print
  * the 3-D Pareto frontier (docs/ECONOMICS.md walks through a run).
  * Wired into the same resilience stack as --sobol/--ensemble:
- * cooperative deadline/SIGINT stop, deterministic per-candidate retry,
- * and atomic checkpoint/resume. All numbers print with %.17g, so a
+ * cooperative deadline/SIGINT stop and atomic checkpoint/resume. All numbers print with %.17g, so a
  * straight run and a killed-and-resumed run produce bitwise-identical
  * stdout. Returns the process exit code.
  */
@@ -807,12 +786,6 @@ runChipletPareto(const TechnologyDb& db, const ChipDesign& design,
                                  ? FailurePolicy::skipAndRecord()
                                  : FailurePolicy();
     options.cancel = &token;
-    if (args.retries > 1) {
-        options.retry = RetryPolicy::immediate(args.retries);
-        options.retry.seed = args.seed;
-    }
-    RetryStats retry_stats;
-    options.retry_stats = &retry_stats;
     FailureReport report;
     options.failure_report = &report;
 
@@ -849,7 +822,6 @@ runChipletPareto(const TechnologyDb& db, const ChipDesign& design,
             throw;
     }
 
-    manifest.total_retries = retry_stats.extra_attempts;
     manifest.addFailureReport(report);
     if (options.checkpoint != nullptr) {
         checkpoint.writeAtomic(args.checkpoint_file);

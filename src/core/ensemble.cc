@@ -6,10 +6,9 @@
 #include <utility>
 
 #include "core/cas.hh"
+#include "stats/batch_driver.hh"
 #include "stats/rng.hh"
 #include "stats/summary.hh"
-#include "support/cancel.hh"
-#include "support/checkpoint.hh"
 #include "support/error.hh"
 
 namespace ttmcas {
@@ -218,14 +217,6 @@ EnsembleRunner::run(const ChipDesign& design, double n_chips,
     if (options.paths == 0)
         throw ModelError("ensemble paths must be >= 1");
 
-    const std::size_t total_points = 2 * options.paths;
-    if (options.resume_from != nullptr)
-        options.resume_from->requireMatches(kEnsembleKernelName,
-                                            options.seed, total_points);
-    if (options.checkpoint != nullptr)
-        options.checkpoint->bind(kEnsembleKernelName, options.seed,
-                                 total_points);
-
     const std::vector<std::string> processes = designProcesses(design);
     const TimelineTtmModel timeline_model(
         TtmModel(_db, _model_options));
@@ -233,9 +224,6 @@ EnsembleRunner::run(const ChipDesign& design, double n_chips,
     std::map<std::string, double> queue_weeks;
     for (const auto& [node, weeks] : base_market.queueWeeksByNode())
         queue_weeks.emplace(node, weeks.value());
-
-    std::vector<Outcome<PathValue>> outcomes(options.paths);
-    std::vector<std::uint32_t> attempts(options.paths, 0);
 
     const auto evaluatePath = [&](std::size_t k) {
         const ScenarioPath scenario =
@@ -268,80 +256,30 @@ EnsembleRunner::run(const ChipDesign& design, double n_chips,
         return value;
     };
 
-    parallelFor(
-        options.parallel, options.paths,
-        [&](std::size_t begin, std::size_t end) {
-            for (std::size_t k = begin; k < end; ++k) {
-                const std::size_t ttm_point = 2 * k;
-                const std::size_t cas_point = 2 * k + 1;
-                if (options.resume_from != nullptr &&
-                    options.resume_from->has(ttm_point) &&
-                    options.resume_from->has(cas_point)) {
-                    // Restore bit-exactly; the regime label is
-                    // recomputed from the (deterministic, cheap)
-                    // sampling pass — no model evaluation.
-                    outcomes[k] = guardedPoint(k, [&] {
-                        PathValue value;
-                        value.ttm =
-                            options.resume_from->value(ttm_point);
-                        value.cas =
-                            options.resume_from->value(cas_point);
-                        value.label = classifyScenarioPath(
-                            sampleScenarioPath(spec, options.seed, k),
-                            spec);
-                        return value;
-                    });
-                } else {
-                    const std::uint32_t max_attempts =
-                        std::max<std::uint32_t>(
-                            1, options.retry.max_attempts);
-                    for (std::uint32_t attempt = 0;
-                         attempt < max_attempts; ++attempt) {
-                        if (attempt > 0)
-                            options.retry.backoff(attempt - 1, k);
-                        attempts[k] = attempt + 1;
-                        outcomes[k] =
-                            guardedPoint(k, [&] { return evaluatePath(k); });
-                        if (outcomes[k].ok())
-                            break;
-                        if (options.cancel != nullptr &&
-                            options.cancel->stopRequested())
-                            break;
-                    }
-                }
-                if (outcomes[k].ok() &&
-                    options.checkpoint != nullptr) {
-                    options.checkpoint->record(
-                        ttm_point, outcomes[k].value().ttm);
-                    options.checkpoint->record(
-                        cas_point, outcomes[k].value().cas);
-                }
-            }
-        },
-        options.cancel);
+    PointKernel<PathValue> points;
+    points.name = kEnsembleKernelName;
+    points.seed = options.seed;
+    points.count = options.paths;
+    points.point = evaluatePath;
+    points.width = 2;
+    points.save = [](const PathValue& value, double* slots) {
+        slots[0] = value.ttm;
+        slots[1] = value.cas;
+    };
+    points.restore = [&](std::size_t k, const double* slots) {
+        // Restored bit-exactly; the regime label is recomputed from
+        // the (deterministic, cheap) sampling pass — no model
+        // evaluation.
+        PathValue value;
+        value.ttm = slots[0];
+        value.cas = slots[1];
+        value.label = classifyScenarioPath(
+            sampleScenarioPath(spec, options.seed, k), spec);
+        return value;
+    };
+    const PointBatch<PathValue> paths = runPoints(options, points);
 
-    if (options.cancel != nullptr && options.cancel->stopRequested())
-        markUnevaluated(outcomes, *options.cancel, kEnsembleKernelName);
-
-    // Serial post-passes in index order: retry tally, policy, groups.
-    RetryStats tally;
-    for (std::size_t k = 0; k < options.paths; ++k) {
-        if (attempts[k] <= 1)
-            continue;
-        ++tally.retried_points;
-        tally.extra_attempts += attempts[k] - 1;
-        if (outcomes[k].ok())
-            ++tally.recovered_points;
-        else
-            ++tally.exhausted_points;
-    }
-    if (options.retry_stats != nullptr)
-        *options.retry_stats = tally;
-    recordRetryMetrics(tally);
-
-    enforcePolicy(outcomes, options.failure_policy,
-                  options.failure_report, kEnsembleKernelName);
-
+    // Serial reduction in path order.
     EnsembleResult result;
     result.paths_requested = options.paths;
     std::array<std::vector<double>, kRegimeCount> ttm_by_regime;
@@ -349,9 +287,9 @@ EnsembleRunner::run(const ChipDesign& design, double n_chips,
     std::vector<double> ttm_all;
     std::vector<double> cas_all;
     for (std::size_t k = 0; k < options.paths; ++k) {
-        if (!outcomes[k].ok())
+        if (!paths.done(k))
             continue;
-        const PathValue& value = outcomes[k].value();
+        const PathValue& value = paths.values[k];
         const std::size_t regime =
             static_cast<std::size_t>(value.label);
         ttm_by_regime[regime].push_back(value.ttm);

@@ -49,15 +49,11 @@
 #include "core/timeline.hh"
 #include "core/ttm_model.hh"
 #include "stats/disruption.hh"
-#include "support/outcome.hh"
-#include "support/retry.hh"
-#include "support/threadpool.hh"
+#include "support/batch_control.hh"
 #include "tech/technology_db.hh"
 
 namespace ttmcas {
 
-class CancellationToken;
-class SweepCheckpoint;
 
 /** Upper bound on disruption-process nodes per spec. */
 inline constexpr std::size_t kMaxEnsembleNodes = 64;
@@ -158,37 +154,19 @@ struct EnsembleResult
     bool operator==(const EnsembleResult&) const = default;
 };
 
-/** Knobs of one ensemble run (mirrors UncertaintyAnalysis::Options). */
-struct EnsembleOptions
+/**
+ * Knobs of one ensemble run. Every path is one batch-driver point;
+ * per-path streams are derived by index (derivePathSeed), so results
+ * are bitwise-identical for a given seed regardless of thread count.
+ * A checkpoint stores 2 values per path (TTM then CAS), bound to
+ * (kEnsembleKernelName, seed, 2 * paths).
+ */
+struct EnsembleOptions : BatchControl
 {
     /** Scenario path count N. */
     std::size_t paths = 256;
     /** Ensemble seed; every path stream derives from it. */
     std::uint64_t seed = 2023;
-    /**
-     * Path-level parallelism. Per-path streams are derived by index
-     * (derivePathSeed), so results are bitwise-identical for a given
-     * seed regardless of thread count.
-     */
-    ParallelConfig parallel;
-    /** Per-path failure handling (Abort or SkipAndRecord). */
-    FailurePolicy failure_policy;
-    /** When non-null, receives the run's FailureReport. Unowned. */
-    FailureReport* failure_report = nullptr;
-    /** Cooperative stop (deadline / SIGINT). Unowned, may be null. */
-    const CancellationToken* cancel = nullptr;
-    /** Per-path retry schedule (support/retry.hh). */
-    RetryPolicy retry;
-    /** When non-null, receives the retry tally. Unowned. */
-    RetryStats* retry_stats = nullptr;
-    /**
-     * Completed points of an interrupted run (2 per path: TTM then
-     * CAS), restored bit-exactly. Must match (kEnsembleKernelName,
-     * seed, 2 * paths). Unowned, may be null.
-     */
-    const SweepCheckpoint* resume_from = nullptr;
-    /** When non-null, completed points are recorded here. Unowned. */
-    SweepCheckpoint* checkpoint = nullptr;
     /** Bootstrap resamples behind each group's mean CI. */
     std::size_t bootstrap_resamples = 200;
     /** Bootstrap CI coverage. */

@@ -38,7 +38,7 @@ batchSizeHistogram()
     return histogram;
 }
 
-/** Per-sample kernel cost in nanoseconds (ttmBatch calls only). */
+/** Per-sample kernel cost in nanoseconds (batch calls only). */
 const obs::Histogram&
 nsPerSampleHistogram()
 {
@@ -47,6 +47,19 @@ nsPerSampleHistogram()
         {25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0,
          10000.0, 25000.0, 100000.0});
     return histogram;
+}
+
+/** Record one timed batch call of @p n lanes into ttm.batch.*. */
+void
+recordBatch(std::size_t n, std::chrono::steady_clock::duration elapsed)
+{
+    const double ns =
+        static_cast<double>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+                .count()) /
+        static_cast<double>(n);
+    batchSizeHistogram().record(static_cast<double>(n));
+    nsPerSampleHistogram().record(ns);
 }
 
 /** Factor column indices, matching uncertainty.hh's UncertainInput. */
@@ -529,17 +542,8 @@ CompiledDesign::ttmBatch(const std::array<const double*, 6>& factors,
         n_ok += ok[i];
     evaluationsCounter().add(n_ok);
 
-    if (timed) {
-        const auto elapsed = std::chrono::steady_clock::now() - start;
-        const double ns =
-            static_cast<double>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    elapsed)
-                    .count()) /
-            static_cast<double>(n);
-        batchSizeHistogram().record(static_cast<double>(n));
-        nsPerSampleHistogram().record(ns);
-    }
+    if (timed)
+        recordBatch(n, std::chrono::steady_clock::now() - start);
 }
 
 bool
@@ -729,6 +733,9 @@ CompiledDesign::waferDemandBatch(int process_index,
 {
     if (n == 0)
         return;
+    const bool timed = obs::metricsEnabled();
+    const auto start = timed ? std::chrono::steady_clock::now()
+                             : std::chrono::steady_clock::time_point{};
     Workspace& ws = workspace();
     ws.resize(n, _nodes.size());
 
@@ -808,6 +815,8 @@ CompiledDesign::waferDemandBatch(int process_index,
 
     for (std::size_t i = 0; i < n; ++i)
         ok[i] = ws.ok[i];
+    if (timed)
+        recordBatch(n, std::chrono::steady_clock::now() - start);
 }
 
 bool

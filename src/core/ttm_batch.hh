@@ -178,7 +178,8 @@ class CompiledDesign
      * with index @p process_index (pass the processIndex() result; -1
      * means the demand is the empty sum). Inputs are SoA columns of
      * the N_TT and D0 factors (the two inputs sampleWaferDemand
-     * varies); ok/out behave as in ttmBatch.
+     * varies); ok/out behave as in ttmBatch. Records ttm.batch.*
+     * metrics like ttmBatch.
      */
     void waferDemandBatch(int process_index, const double* ntt_factors,
                           const double* d0_factors, std::size_t n,

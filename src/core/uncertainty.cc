@@ -1,14 +1,13 @@
 #include "core/uncertainty.hh"
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
 
+#include "stats/batch_driver.hh"
 #include "stats/distributions.hh"
-#include "stats/fault_injection.hh"
 #include "stats/rng.hh"
-#include "support/cancel.hh"
-#include "support/checkpoint.hh"
 #include "support/error.hh"
 #include "support/metrics.hh"
 #include "support/trace.hh"
@@ -140,35 +139,32 @@ drawFactors(Rng& rng, double band)
     return factors;
 }
 
+/** One sample from a copy of its stream (a pure function of it). */
+using SampleFn = std::function<double(Rng&)>;
+
 /**
- * Shared Monte-Carlo driver behind sampleTtm/sampleCas/
- * sampleWaferDemand: validates the options, splits one independent
- * RNG stream per sample off the seed, and evaluates
- * @p sample(stream_i) for every i — in parallel when configured.
- *
- * Splitting per *sample* (not per thread or per chunk) is what makes
- * the result bitwise-identical for a given seed no matter the thread
- * count or grain: sample i always sees stream i, and each evaluation
- * writes only its own output slot.
- *
- * When @p batched is true, the fast (non-isolated) path hands whole
- * chunks to @p chunk(streams, begin, end, out) so a compiled batch
- * kernel can evaluate them SoA-style; @p sample remains the per-point
- * evaluator the isolated path (skip/inject/cancel/retry/checkpoint)
- * routes through guardedScalarPoint, preserving those contracts
- * unchanged. Both callables must produce bitwise-identical values.
+ * Batch fill of @p n consecutive samples from their streams into
+ * values plus per-lane ok flags (see PointKernel::chunk).
  */
-template <typename SampleFn, typename ChunkFn>
+using SampleChunkFn = std::function<void(const Rng* streams, std::size_t n,
+                                         double* out, unsigned char* ok)>;
+
+/**
+ * Shared Monte-Carlo kernel behind sampleTtm/sampleCas/
+ * sampleWaferDemand: validates the options, splits one independent
+ * RNG stream per sample off the seed, and runs the samples through the
+ * batch driver. Sample i always draws from its own copy of stream i,
+ * so the result is bitwise-identical for any thread count or grain,
+ * and a lane the optional @p chunk flags re-runs on the same draw.
+ * Failed samples are dropped, keeping the survivors' index order.
+ */
 std::vector<double>
 drawSamples(const UncertaintyAnalysis::Options& options, const char* kernel,
-            SampleFn&& sample, ChunkFn&& chunk, bool batched)
+            const SampleFn& sample, const SampleChunkFn& chunk = {})
 {
     TTMCAS_REQUIRE(options.samples > 0, "sample count must be positive");
     TTMCAS_REQUIRE(options.band >= 0.0 && options.band < 1.0,
                    "uncertainty band must be in [0, 1)");
-    // Observability: one span per invocation, one count per drawn
-    // sample. The counter is bumped per chunk inside the loop bodies,
-    // so the merged total is n for any thread count or grain.
     const obs::ScopedSpan span("mc", kernel);
     static const obs::Counter samples_drawn("mc.samples");
     Rng parent(options.seed);
@@ -177,116 +173,22 @@ drawSamples(const UncertaintyAnalysis::Options& options, const char* kernel,
     for (std::size_t i = 0; i < options.samples; ++i)
         streams.push_back(parent.split());
 
-    // Fast path: no isolation requested. Kept separate so the default
-    // Abort-with-no-injection configuration runs the exact legacy code.
-    const FaultInjector* injector = options.fault_injector;
-    const bool resilient =
-        options.cancel != nullptr || options.retry.enabled() ||
-        options.resume_from != nullptr || options.checkpoint != nullptr;
-    const bool isolated = options.failure_policy.skips() ||
-                          options.failure_report != nullptr ||
-                          (injector != nullptr && injector->enabled()) ||
-                          resilient;
-    if (!isolated) {
-        std::vector<double> samples(options.samples);
-        parallelFor(options.parallel, options.samples,
-                    [&](std::size_t begin, std::size_t end) {
-                        if (batched)
-                            chunk(streams, begin, end, samples);
-                        else
-                            for (std::size_t i = begin; i < end; ++i)
-                                samples[i] = sample(streams[i]);
-                        samples_drawn.add(end - begin);
-                    });
-        return samples;
+    PointKernel<double> points;
+    points.name = kernel;
+    points.seed = options.seed;
+    points.count = options.samples;
+    points.counter = &samples_drawn;
+    points.point = [&](std::size_t i) {
+        Rng stream = streams[i];
+        return sample(stream);
+    };
+    if (chunk) {
+        points.chunk = [&](std::size_t begin, std::size_t end, double* out,
+                           unsigned char* ok) {
+            chunk(streams.data() + begin, end - begin, out, ok);
+        };
     }
-
-    // Isolated path: every sample lands in its own Outcome slot; the
-    // serial enforcePolicy pass then builds the (thread-count-
-    // independent) report and applies the policy. Failed samples are
-    // dropped, preserving index order of the survivors.
-    //
-    // Resume/checkpoint keep the counters and values bitwise equal to
-    // an uninterrupted run: restored points are counted as drawn (the
-    // chunk add below) and re-recorded into the new checkpoint, and
-    // their values are bit-exact IEEE-754 patterns.
-    if (options.resume_from != nullptr)
-        options.resume_from->requireMatches(kernel, options.seed,
-                                            options.samples);
-    if (options.checkpoint != nullptr)
-        options.checkpoint->bind(kernel, options.seed, options.samples);
-    const RetryPolicy* retry =
-        options.retry.enabled() ? &options.retry : nullptr;
-    std::vector<std::uint32_t> attempts(options.samples, 0);
-    std::vector<Outcome<double>> outcomes(options.samples);
-    parallelFor(
-        options.parallel, options.samples,
-        [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) {
-                if (options.resume_from != nullptr &&
-                    options.resume_from->has(i)) {
-                    outcomes[i] = Outcome<double>::success(
-                        options.resume_from->value(i));
-                } else {
-                    outcomes[i] = guardedScalarPoint(
-                        injector, DiagCode::NonFiniteOutput, kernel, i,
-                        [&] { return sample(streams[i]); }, retry,
-                        &attempts[i]);
-                }
-                if (options.checkpoint != nullptr && outcomes[i].ok())
-                    options.checkpoint->record(i, outcomes[i].value());
-            }
-            samples_drawn.add(end - begin);
-        },
-        options.cancel);
-    if (options.cancel != nullptr && options.cancel->stopRequested())
-        markUnevaluated(outcomes, *options.cancel, kernel);
-    if (retry != nullptr) {
-        RetryStats stats;
-        for (std::size_t i = 0; i < outcomes.size(); ++i) {
-            if (attempts[i] > 1) {
-                ++stats.retried_points;
-                stats.extra_attempts += attempts[i] - 1;
-                if (outcomes[i].ok())
-                    ++stats.recovered_points;
-            }
-            if (!outcomes[i].ok() && attempts[i] == retry->max_attempts)
-                ++stats.exhausted_points;
-        }
-        recordRetryMetrics(stats);
-        if (options.retry_stats != nullptr)
-            *options.retry_stats = stats;
-    } else if (options.retry_stats != nullptr) {
-        *options.retry_stats = RetryStats{};
-    }
-    enforcePolicy(outcomes, options.failure_policy, options.failure_report,
-                  kernel);
-    std::vector<double> samples;
-    samples.reserve(options.samples);
-    for (const Outcome<double>& outcome : outcomes) {
-        if (outcome.ok())
-            samples.push_back(outcome.value());
-    }
-    return samples;
-}
-
-/** Chunk-callable placeholder for kernels without a batch path. */
-struct NoChunk
-{
-    void
-    operator()(std::vector<Rng>&, std::size_t, std::size_t,
-               std::vector<double>&) const
-    {}
-};
-
-/** Point-at-a-time drawSamples (no batch kernel available). */
-template <typename SampleFn>
-std::vector<double>
-drawSamples(const UncertaintyAnalysis::Options& options, const char* kernel,
-            SampleFn&& sample)
-{
-    return drawSamples(options, kernel, std::forward<SampleFn>(sample),
-                       NoChunk{}, false);
+    return runPoints(options, points).survivors();
 }
 
 } // namespace
@@ -307,10 +209,9 @@ UncertaintyAnalysis::sampleTtm(const ChipDesign& design, double n_chips,
         });
     }
 
-    // Fast path: per-point via the compiled kernel (isolated path),
-    // whole chunks through the SoA kernel otherwise. A lane the kernel
-    // flags re-runs the exact scalar chain, which either produces the
-    // identical value or throws the identical scalar diagnostic.
+    // One sample through the compiled kernel, falling back to the
+    // exact scalar chain when it flags the sample; whole chunks go
+    // through the SoA kernel.
     const CompiledDesign& fast = *compiled;
     const auto sample = [&](Rng& rng) {
         const InputFactors factors = drawFactors(rng, options.band);
@@ -319,42 +220,23 @@ UncertaintyAnalysis::sampleTtm(const ChipDesign& design, double n_chips,
             return value;
         return ttmWithFactors(design, n_chips, market, factors).value();
     };
-    const auto chunk = [&](std::vector<Rng>& streams, std::size_t begin,
-                           std::size_t end, std::vector<double>& out) {
+    const auto chunk = [&](const Rng* streams, std::size_t n, double* out,
+                           unsigned char* ok) {
         thread_local std::array<std::vector<double>, 6> columns;
-        thread_local std::vector<double> values;
-        thread_local std::vector<unsigned char> lane_ok;
-        const std::size_t n = end - begin;
         for (auto& column : columns)
             column.resize(n);
-        values.resize(n);
-        lane_ok.resize(n);
-        for (std::size_t i = begin; i < end; ++i) {
-            const InputFactors factors =
-                drawFactors(streams[i], options.band);
+        for (std::size_t j = 0; j < n; ++j) {
+            Rng stream = streams[j];
+            const InputFactors factors = drawFactors(stream, options.band);
             for (std::size_t k = 0; k < kUncertainInputCount; ++k)
-                columns[k][i - begin] = factors[k];
+                columns[k][j] = factors[k];
         }
         const std::array<const double*, 6> pointers{
             columns[0].data(), columns[1].data(), columns[2].data(),
             columns[3].data(), columns[4].data(), columns[5].data()};
-        fast.ttmBatch(pointers, n, values.data(), lane_ok.data());
-        // Ascending fallback scan: the first flagged lane throws
-        // exactly what a serial scalar loop would have thrown first.
-        for (std::size_t j = 0; j < n; ++j) {
-            if (lane_ok[j]) {
-                out[begin + j] = values[j];
-            } else {
-                InputFactors factors;
-                for (std::size_t k = 0; k < kUncertainInputCount; ++k)
-                    factors[k] = columns[k][j];
-                out[begin + j] =
-                    ttmWithFactors(design, n_chips, market, factors)
-                        .value();
-            }
-        }
+        fast.ttmBatch(pointers, n, out, ok);
     };
-    return drawSamples(options, "sampleTtm", sample, chunk, true);
+    return drawSamples(options, "sampleTtm", sample, chunk);
 }
 
 std::vector<double>
@@ -395,16 +277,12 @@ UncertaintyAnalysis::sampleWaferDemand(const ChipDesign& design,
                                        const std::string& process,
                                        const Options& options) const
 {
-    const auto scalar_sample = [&](Rng& rng) {
-        const double ntt_factor =
-            rng.uniform(1.0 - options.band, 1.0 + options.band);
-        const double d0_factor =
-            rng.uniform(1.0 - options.band, 1.0 + options.band);
+    // Only the demand-relevant inputs vary, drawn N_TT then D0.
+    const auto scalar_demand = [&](double ntt_factor, double d0_factor) {
         const ChipDesign scaled_design =
             scaleDesign(design, ntt_factor, 1.0);
-        const TtmModel model(
-            scaledTechnology(d0_factor, 1.0, 1.0, 1.0),
-            _model_options);
+        const TtmModel model(scaledTechnology(d0_factor, 1.0, 1.0, 1.0),
+                             _model_options);
         return model.waferDemand(scaled_design, n_chips, process).value();
     };
 
@@ -414,64 +292,42 @@ UncertaintyAnalysis::sampleWaferDemand(const ChipDesign& design,
     if (options.eval_path == EvalPath::kBatch && _db.has(process))
         compiled = CompiledDesign::tryCompile(design, _db, _model_options,
                                               MarketConditions{}, n_chips);
-    if (!compiled.has_value())
-        return drawSamples(options, "sampleWaferDemand", scalar_sample);
-
-    const CompiledDesign& fast = *compiled;
-    const int process_index = fast.processIndex(process);
+    const int process_index =
+        compiled.has_value() ? compiled->processIndex(process) : -1;
     const auto sample = [&](Rng& rng) {
         const double ntt_factor =
             rng.uniform(1.0 - options.band, 1.0 + options.band);
         const double d0_factor =
             rng.uniform(1.0 - options.band, 1.0 + options.band);
         double value = 0.0;
-        if (fast.waferDemandOne(process_index, ntt_factor, d0_factor,
-                                &value))
+        if (compiled.has_value() &&
+            compiled->waferDemandOne(process_index, ntt_factor, d0_factor,
+                                     &value))
             return value;
-        const ChipDesign scaled_design =
-            scaleDesign(design, ntt_factor, 1.0);
-        const TtmModel model(
-            scaledTechnology(d0_factor, 1.0, 1.0, 1.0),
-            _model_options);
-        return model.waferDemand(scaled_design, n_chips, process).value();
+        return scalar_demand(ntt_factor, d0_factor);
     };
-    const auto chunk = [&](std::vector<Rng>& streams, std::size_t begin,
-                           std::size_t end, std::vector<double>& out) {
+    if (!compiled.has_value())
+        return drawSamples(options, "sampleWaferDemand", sample);
+
+    const CompiledDesign& fast = *compiled;
+    const auto chunk = [&](const Rng* streams, std::size_t n, double* out,
+                           unsigned char* ok) {
         thread_local std::vector<double> ntt_column;
         thread_local std::vector<double> d0_column;
-        thread_local std::vector<double> values;
-        thread_local std::vector<unsigned char> lane_ok;
-        const std::size_t n = end - begin;
         ntt_column.resize(n);
         d0_column.resize(n);
-        values.resize(n);
-        lane_ok.resize(n);
-        for (std::size_t i = begin; i < end; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
             // Same draw order as the scalar sample: N_TT then D0.
-            ntt_column[i - begin] =
-                streams[i].uniform(1.0 - options.band, 1.0 + options.band);
-            d0_column[i - begin] =
-                streams[i].uniform(1.0 - options.band, 1.0 + options.band);
+            Rng stream = streams[j];
+            ntt_column[j] =
+                stream.uniform(1.0 - options.band, 1.0 + options.band);
+            d0_column[j] =
+                stream.uniform(1.0 - options.band, 1.0 + options.band);
         }
         fast.waferDemandBatch(process_index, ntt_column.data(),
-                              d0_column.data(), n, values.data(),
-                              lane_ok.data());
-        for (std::size_t j = 0; j < n; ++j) {
-            if (lane_ok[j]) {
-                out[begin + j] = values[j];
-            } else {
-                const ChipDesign scaled_design =
-                    scaleDesign(design, ntt_column[j], 1.0);
-                const TtmModel model(
-                    scaledTechnology(d0_column[j], 1.0, 1.0, 1.0),
-                    _model_options);
-                out[begin + j] =
-                    model.waferDemand(scaled_design, n_chips, process)
-                        .value();
-            }
-        }
+                              d0_column.data(), n, out, ok);
     };
-    return drawSamples(options, "sampleWaferDemand", sample, chunk, true);
+    return drawSamples(options, "sampleWaferDemand", sample, chunk);
 }
 
 Summary
@@ -525,20 +381,12 @@ UncertaintyAnalysis::ttmSensitivity(const ChipDesign& design, double n_chips,
         return ttmWithFactors(design, n_chips, market, factors).value();
     };
 
-    SobolOptions sobol_options;
-    sobol_options.base_samples = options.samples;
-    sobol_options.seed = options.seed;
     // ttmWithFactors builds every model object locally, so the lambda
     // satisfies sobolAnalyze's thread-safety contract.
-    sobol_options.parallel = options.parallel;
-    sobol_options.failure_policy = options.failure_policy;
-    sobol_options.fault_injector = options.fault_injector;
-    sobol_options.failure_report = options.failure_report;
-    sobol_options.cancel = options.cancel;
-    sobol_options.retry = options.retry;
-    sobol_options.retry_stats = options.retry_stats;
-    sobol_options.resume_from = options.resume_from;
-    sobol_options.checkpoint = options.checkpoint;
+    SobolOptions sobol_options;
+    static_cast<BatchControl&>(sobol_options) = options;
+    sobol_options.base_samples = options.samples;
+    sobol_options.seed = options.seed;
     return sobolAnalyze(inputs, model, sobol_options);
 }
 

@@ -30,15 +30,9 @@
 #include "core/ttm_model.hh"
 #include "stats/sobol.hh"
 #include "stats/summary.hh"
-#include "support/outcome.hh"
-#include "support/retry.hh"
-#include "support/threadpool.hh"
+#include "support/batch_control.hh"
 
 namespace ttmcas {
-
-class FaultInjector;
-class CancellationToken;
-class SweepCheckpoint;
 
 /** The paper's six varied inputs, in Fig. 8 row order. */
 enum class UncertainInput : std::size_t
@@ -67,64 +61,22 @@ InputFactors nominalFactors();
 class UncertaintyAnalysis
 {
   public:
-    struct Options
+    /**
+     * Sampling configuration; parallelism, failure handling, fault
+     * injection, cancellation and checkpoint/resume come from
+     * BatchControl (every sample is one point of the batch driver).
+     */
+    struct Options : BatchControl
     {
         /** Relative half-width of each input's uniform band. */
         double band = 0.10;
         /** Monte-Carlo sample count (paper: 1024). */
         std::size_t samples = 1024;
-        /** RNG seed for reproducibility. */
+        /**
+         * RNG seed. Each sample gets its own stream split off it, so
+         * results are bitwise-identical for any thread count.
+         */
         std::uint64_t seed = 2023;
-        /**
-         * Evaluation parallelism. Each sample gets its own RNG stream
-         * split off the seed, so results are bitwise-identical for a
-         * given seed regardless of thread count; threads = 1 forces
-         * the serial path, threads = 0 uses every core.
-         */
-        ParallelConfig parallel;
-        /**
-         * Per-sample failure handling: Abort (default, legacy
-         * first-throw) or SkipAndRecord, which drops failed samples
-         * from the returned vector and records their diagnostics.
-         */
-        FailurePolicy failure_policy;
-        /**
-         * Optional deterministic fault injector (robustness testing);
-         * unowned, may be null.
-         */
-        const FaultInjector* fault_injector = nullptr;
-        /**
-         * When non-null, receives the batch's FailureReport —
-         * bitwise-identical for any thread count. Unowned.
-         */
-        FailureReport* failure_report = nullptr;
-        /**
-         * Cooperative stop (deadline / SIGINT), checked at chunk
-         * granularity; points the stop prevented are recorded as
-         * Cancelled/DeadlineExceeded failures. Unowned, may be null.
-         */
-        const CancellationToken* cancel = nullptr;
-        /**
-         * Per-sample retry schedule (support/retry.hh). Disabled by
-         * default (max_attempts = 1).
-         */
-        RetryPolicy retry;
-        /**
-         * When non-null, receives the run's retry tally (thread-count
-         * invariant; also mirrored into retry.* metrics). Unowned.
-         */
-        RetryStats* retry_stats = nullptr;
-        /**
-         * Completed points from a previous interrupted run; restored
-         * bit-exactly instead of re-evaluated. Must match (kernel,
-         * seed, sample count). Unowned, may be null.
-         */
-        const SweepCheckpoint* resume_from = nullptr;
-        /**
-         * When non-null, completed points are recorded here (bound to
-         * this run) for a later --resume. Unowned.
-         */
-        SweepCheckpoint* checkpoint = nullptr;
         /**
          * Evaluation engine: the compiled SoA batch kernels (default)
          * or the legacy scalar path. Values are bitwise identical

@@ -1,10 +1,10 @@
 #include "opt/cache_optimizer.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/ttm_model.hh"
-#include "stats/fault_injection.hh"
-#include "support/cancel.hh"
+#include "stats/batch_driver.hh"
 #include "support/error.hh"
 #include "support/metrics.hh"
 #include "support/trace.hh"
@@ -57,98 +57,45 @@ CacheSweep::sweep(const CacheSweepOptions& options) const
         options.sizes_bytes.empty() ? MissCurveOptions::paperSizes()
                                     : options.sizes_bytes;
 
-    // Evaluate the grid in parallel; point (i, j) lands in slot
-    // i * |sizes| + j, so the returned order matches the serial
-    // nested-loop sweep exactly.
+    // Point (i, j) lands in slot i * |sizes| + j, so the returned
+    // order matches the serial nested-loop sweep exactly.
     const std::size_t count = sizes.size();
-    const std::size_t total = count * count;
-    const FaultInjector* injector = options.fault_injector;
-    const bool resilient =
-        options.cancel != nullptr || options.retry.enabled();
-    const bool isolated = options.failure_policy.skips() ||
-                          options.failure_report != nullptr ||
-                          (injector != nullptr && injector->enabled()) ||
-                          resilient;
-    if (!isolated) {
-        return parallelMap<CacheDesignPoint>(
-            options.parallel, total, [&](std::size_t flat) {
-                points_evaluated.increment();
-                return evaluate(sizes[flat / count], sizes[flat % count],
-                                options);
-            });
-    }
-
-    // Isolated path: each grid point evaluates into an Outcome slot;
-    // failed points are dropped, keeping the survivors' grid order.
-    // Each retry attempt re-corrupts the injected input with the
-    // attempt number, so transient faults recover deterministically.
-    const std::uint32_t max_attempts =
-        options.retry.enabled() ? options.retry.max_attempts : 1;
-    std::vector<std::uint32_t> attempts(total, 0);
-    std::vector<Outcome<CacheDesignPoint>> outcomes(total);
-    parallelFor(
-        options.parallel, total,
-        [&](std::size_t begin, std::size_t end) {
-            for (std::size_t flat = begin; flat < end; ++flat) {
-                for (std::uint32_t attempt = 0; attempt < max_attempts;
-                     ++attempt) {
-                    if (attempt > 0)
-                        options.retry.backoff(attempt - 1, flat);
-                    outcomes[flat] = guardedPoint(flat, [&] {
-                        CacheSweepOptions point_options = options;
-                        if (injector != nullptr) {
-                            point_options.n_chips = injector->corruptInput(
-                                options.n_chips, flat, attempt);
-                        }
-                        const CacheDesignPoint point =
-                            evaluate(sizes[flat / count],
-                                     sizes[flat % count], point_options);
-                        finiteOr(point.ipc, DiagCode::NonFiniteOutput,
-                                 "CacheSweep::sweep IPC");
-                        finiteOr(point.ttm.value(), DiagCode::NonFiniteTtm,
-                                 "CacheSweep::sweep TTM");
-                        finiteOr(point.cost.value(),
-                                 DiagCode::NonFiniteCost,
-                                 "CacheSweep::sweep cost");
-                        return point;
-                    });
-                    attempts[flat] = attempt + 1;
-                    if (outcomes[flat].ok())
-                        break;
-                }
-            }
-            points_evaluated.add(end - begin);
-        },
-        options.cancel);
-    if (options.cancel != nullptr && options.cancel->stopRequested())
-        markUnevaluated(outcomes, *options.cancel, "CacheSweep::sweep");
-    if (options.retry.enabled()) {
-        RetryStats stats;
-        for (std::size_t flat = 0; flat < total; ++flat) {
-            if (attempts[flat] > 1) {
-                ++stats.retried_points;
-                stats.extra_attempts += attempts[flat] - 1;
-                if (outcomes[flat].ok())
-                    ++stats.recovered_points;
-            }
-            if (!outcomes[flat].ok() && attempts[flat] == max_attempts)
-                ++stats.exhausted_points;
-        }
-        recordRetryMetrics(stats);
-        if (options.retry_stats != nullptr)
-            *options.retry_stats = stats;
-    } else if (options.retry_stats != nullptr) {
-        *options.retry_stats = RetryStats{};
-    }
-    enforcePolicy(outcomes, options.failure_policy, options.failure_report,
-                  "CacheSweep::sweep");
-    std::vector<CacheDesignPoint> points;
-    points.reserve(total);
-    for (const Outcome<CacheDesignPoint>& outcome : outcomes) {
-        if (outcome.ok())
-            points.push_back(outcome.value());
-    }
-    return points;
+    const auto guard = [](double value, DiagCode code, const char* what) {
+        if (!std::isfinite(value))
+            finiteOr(value, code, what);
+    };
+    PointKernel<CacheDesignPoint> points;
+    points.name = "CacheSweep::sweep";
+    points.count = count * count;
+    points.counter = &points_evaluated;
+    points.point = [&](std::size_t flat) {
+        const CacheDesignPoint point =
+            evaluate(sizes[flat / count], sizes[flat % count], options);
+        guard(point.ipc, DiagCode::NonFiniteOutput, "CacheSweep::sweep IPC");
+        guard(point.ttm.value(), DiagCode::NonFiniteTtm,
+              "CacheSweep::sweep TTM");
+        guard(point.cost.value(), DiagCode::NonFiniteCost,
+              "CacheSweep::sweep cost");
+        return point;
+    };
+    points.width = 4;
+    points.save = [](const CacheDesignPoint& point, double* slots) {
+        slots[0] = point.ipc;
+        slots[1] = point.ttm.value();
+        slots[2] = point.cost.value();
+        slots[3] = point.cache_area_fraction;
+    };
+    points.restore = [&](std::size_t flat, const double* slots) {
+        CacheDesignPoint point;
+        point.icache_bytes = sizes[flat / count];
+        point.dcache_bytes = sizes[flat % count];
+        point.ipc = slots[0];
+        point.ttm = Weeks(slots[1]);
+        point.cost = Dollars(slots[2]);
+        point.cache_area_fraction = slots[3];
+        return point;
+    };
+    return runPoints(options, points).survivors();
 }
 
 const CacheDesignPoint&

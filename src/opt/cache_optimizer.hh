@@ -16,16 +16,11 @@
 #include "sim/ariane.hh"
 #include "sim/ipc_model.hh"
 #include "sim/miss_curves.hh"
-#include "support/outcome.hh"
-#include "support/retry.hh"
-#include "support/threadpool.hh"
+#include "support/batch_control.hh"
 #include "support/units.hh"
 #include "tech/technology_db.hh"
 
 namespace ttmcas {
-
-class FaultInjector;
-class CancellationToken;
 
 /** One (I$, D$) point of the sweep. */
 struct CacheDesignPoint
@@ -42,8 +37,14 @@ struct CacheDesignPoint
     double ipcPerCost() const { return ipc / cost.value(); }
 };
 
-/** Sweep configuration. */
-struct CacheSweepOptions
+/**
+ * Sweep configuration. Grid point (i, j) is batch-driver point
+ * i * |sizes| + j; failed points are dropped from the returned sweep
+ * under SkipAndRecord, and point order and the best-point selections
+ * are identical for any thread count. A checkpoint stores four values
+ * per point (IPC, TTM, cost, cache area fraction) under seed 0.
+ */
+struct CacheSweepOptions : BatchControl
 {
     /** Capacities to sweep for both caches (default 1KB..1MB). */
     std::vector<std::uint64_t> sizes_bytes;
@@ -52,32 +53,6 @@ struct CacheSweepOptions
     /** Final chips manufactured. */
     double n_chips = 100e6;
     double tapeout_engineers = 100.0;
-    /**
-     * Point-evaluation parallelism (threads = 0 uses every core,
-     * 1 forces the serial path). Point order and the best-point
-     * selections are identical for any thread count.
-     */
-    ParallelConfig parallel;
-    /**
-     * Per-point failure handling: Abort (default) or SkipAndRecord,
-     * which drops failed grid points from the returned sweep. Point
-     * (i, j) has index i * |sizes| + j.
-     */
-    FailurePolicy failure_policy;
-    /** Optional deterministic fault injector; unowned, may be null. */
-    const FaultInjector* fault_injector = nullptr;
-    /** When non-null, receives the sweep's FailureReport. Unowned. */
-    FailureReport* failure_report = nullptr;
-    /**
-     * Cooperative stop (deadline / SIGINT), checked at chunk
-     * granularity; grid points the stop prevented are recorded as
-     * Cancelled/DeadlineExceeded failures. Unowned, may be null.
-     */
-    const CancellationToken* cancel = nullptr;
-    /** Per-point retry schedule (support/retry.hh); off by default. */
-    RetryPolicy retry;
-    /** When non-null, receives the sweep's retry tally. Unowned. */
-    RetryStats* retry_stats = nullptr;
 };
 
 /** Cache-capacity design-space explorer. */

@@ -7,8 +7,7 @@
 #include <utility>
 
 #include "opt/pareto.hh"
-#include "support/cancel.hh"
-#include "support/checkpoint.hh"
+#include "stats/batch_driver.hh"
 #include "support/error.hh"
 
 namespace ttmcas {
@@ -201,14 +200,6 @@ ChipletExplorer::run(const ChipDesign& base, double n_chips,
                    "number of final chips must be positive");
 
     const std::size_t count = spec.candidateCount();
-    const std::size_t total_points = 3 * count;
-    if (options.resume_from != nullptr)
-        options.resume_from->requireMatches(kChipletKernelName,
-                                            options.seed, total_points);
-    if (options.checkpoint != nullptr)
-        options.checkpoint->bind(kChipletKernelName, options.seed,
-                                 total_points);
-
     const TtmModel model(_db, _model_options);
     CasModel::Options cas_options;
     cas_options.derivative_rel_step = options.derivative_rel_step;
@@ -287,89 +278,29 @@ ChipletExplorer::run(const ChipDesign& base, double n_chips,
         return value;
     };
 
-    std::vector<Outcome<CandidateValue>> outcomes(count);
-    std::vector<std::uint32_t> attempts(count, 0);
-
-    parallelFor(
-        options.parallel, count,
-        [&](std::size_t begin, std::size_t end) {
-            for (std::size_t k = begin; k < end; ++k) {
-                const std::size_t ttm_point = 3 * k;
-                const std::size_t cas_point = 3 * k + 1;
-                const std::size_t cost_point = 3 * k + 2;
-                if (options.resume_from != nullptr &&
-                    options.resume_from->has(ttm_point) &&
-                    options.resume_from->has(cas_point) &&
-                    options.resume_from->has(cost_point)) {
-                    outcomes[k] = guardedPoint(k, [&] {
-                        CandidateValue value;
-                        value.ttm =
-                            options.resume_from->value(ttm_point);
-                        value.cas =
-                            options.resume_from->value(cas_point);
-                        value.cost =
-                            options.resume_from->value(cost_point);
-                        return value;
-                    });
-                } else {
-                    const std::uint32_t max_attempts =
-                        std::max<std::uint32_t>(
-                            1, options.retry.max_attempts);
-                    for (std::uint32_t attempt = 0;
-                         attempt < max_attempts; ++attempt) {
-                        if (attempt > 0)
-                            options.retry.backoff(attempt - 1, k);
-                        attempts[k] = attempt + 1;
-                        outcomes[k] = guardedPoint(
-                            k, [&] { return evaluateCandidate(k); });
-                        if (outcomes[k].ok())
-                            break;
-                        if (options.cancel != nullptr &&
-                            options.cancel->stopRequested())
-                            break;
-                    }
-                }
-                if (outcomes[k].ok() && options.checkpoint != nullptr) {
-                    options.checkpoint->record(
-                        ttm_point, outcomes[k].value().ttm);
-                    options.checkpoint->record(
-                        cas_point, outcomes[k].value().cas);
-                    options.checkpoint->record(
-                        cost_point, outcomes[k].value().cost);
-                }
-            }
-        },
-        options.cancel);
-
-    if (options.cancel != nullptr && options.cancel->stopRequested())
-        markUnevaluated(outcomes, *options.cancel, kChipletKernelName);
-
-    // Serial post-passes in index order: retry tally, policy, front.
-    RetryStats tally;
-    for (std::size_t k = 0; k < count; ++k) {
-        if (attempts[k] <= 1)
-            continue;
-        ++tally.retried_points;
-        tally.extra_attempts += attempts[k] - 1;
-        if (outcomes[k].ok())
-            ++tally.recovered_points;
-        else
-            ++tally.exhausted_points;
-    }
-    if (options.retry_stats != nullptr)
-        *options.retry_stats = tally;
-    recordRetryMetrics(tally);
-
-    enforcePolicy(outcomes, options.failure_policy,
-                  options.failure_report, kChipletKernelName);
+    PointKernel<CandidateValue> points;
+    points.name = kChipletKernelName;
+    points.seed = options.seed;
+    points.count = count;
+    points.point = evaluateCandidate;
+    points.width = 3;
+    points.save = [](const CandidateValue& value, double* slots) {
+        slots[0] = value.ttm;
+        slots[1] = value.cas;
+        slots[2] = value.cost;
+    };
+    points.restore = [](std::size_t, const double* slots) {
+        return CandidateValue{slots[0], slots[1], slots[2]};
+    };
+    const PointBatch<CandidateValue> candidates = runPoints(options, points);
 
     ChipletParetoResult result;
     result.candidates_requested = count;
     std::vector<std::vector<double>> scores;
     for (std::size_t k = 0; k < count; ++k) {
-        if (!outcomes[k].ok())
+        if (!candidates.done(k))
             continue;
-        const CandidateValue& value = outcomes[k].value();
+        const CandidateValue& value = candidates.values[k];
         ChipletPoint point;
         point.index = k;
         point.candidate = candidateAt(spec, k);

@@ -50,15 +50,11 @@
 #include "core/ttm_batch.hh"
 #include "core/ttm_model.hh"
 #include "econ/cost_model.hh"
-#include "support/outcome.hh"
-#include "support/retry.hh"
-#include "support/threadpool.hh"
+#include "support/batch_control.hh"
 #include "tech/technology_db.hh"
 
 namespace ttmcas {
 
-class CancellationToken;
-class SweepCheckpoint;
 
 /** The checkpoint kernel name of chiplet Pareto sweeps. */
 inline constexpr const char* kChipletKernelName = "chiplet_pareto";
@@ -148,8 +144,13 @@ struct ChipletParetoResult
     bool operator==(const ChipletParetoResult&) const = default;
 };
 
-/** Knobs of one sweep (mirrors EnsembleOptions). */
-struct ChipletExplorerOptions
+/**
+ * Knobs of one sweep. Every candidate is one batch-driver point; the
+ * results are thread-count invariant. A checkpoint stores 3 values
+ * per candidate (TTM, CAS, cost), bound to (kChipletKernelName, seed,
+ * 3 * candidateCount()).
+ */
+struct ChipletExplorerOptions : BatchControl
 {
     /**
      * Sweep identity seed. The sweep itself is deterministic (no
@@ -157,26 +158,6 @@ struct ChipletExplorerOptions
      * so resumed runs must match their parent.
      */
     std::uint64_t seed = 2023;
-    /** Candidate-level parallelism; results are thread-count invariant. */
-    ParallelConfig parallel;
-    /** Per-candidate failure handling (Abort or SkipAndRecord). */
-    FailurePolicy failure_policy;
-    /** When non-null, receives the run's FailureReport. Unowned. */
-    FailureReport* failure_report = nullptr;
-    /** Cooperative stop (deadline / SIGINT). Unowned, may be null. */
-    const CancellationToken* cancel = nullptr;
-    /** Per-candidate retry schedule (support/retry.hh). */
-    RetryPolicy retry;
-    /** When non-null, receives the retry tally. Unowned. */
-    RetryStats* retry_stats = nullptr;
-    /**
-     * Completed points of an interrupted run (3 per candidate: TTM,
-     * CAS, cost), restored bit-exactly. Must match
-     * (kChipletKernelName, seed, 3 * candidateCount()). Unowned.
-     */
-    const SweepCheckpoint* resume_from = nullptr;
-    /** When non-null, completed points are recorded here. Unowned. */
-    SweepCheckpoint* checkpoint = nullptr;
     /** Central-difference step of the CAS axis (Eq. 8). */
     double derivative_rel_step = 1e-3;
     /** CAS normalization divisor (paper scale). */

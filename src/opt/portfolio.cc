@@ -4,9 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
 
-#include "stats/fault_injection.hh"
-#include "support/cancel.hh"
+#include "stats/batch_driver.hh"
 #include "support/error.hh"
 #include "support/metrics.hh"
 #include "support/trace.hh"
@@ -118,94 +118,51 @@ PortfolioPlanner::plan(const std::vector<PortfolioProduct>& products) const
     static const obs::Counter move_counter("opt.portfolio_moves");
 
     // Seed: each product's best node assuming a private line. The
-    // product x node TTM matrix is evaluated in parallel (infinity =
-    // die does not fit); the per-product argmin scans stay serial so
-    // ties break identically for any thread count.
+    // product x node TTM matrix runs through the batch driver (no
+    // value = die does not fit); the per-product argmin scans stay
+    // serial so ties break identically for any thread count.
     const std::size_t node_count = nodes.size();
-    const std::size_t seed_points = products.size() * node_count;
-    const FaultInjector* injector = _options.fault_injector;
-    const bool isolated = _options.failure_policy.skips() ||
-                          _options.failure_report != nullptr ||
-                          (injector != nullptr && injector->enabled()) ||
-                          _options.cancel != nullptr;
-    std::vector<double> seed_ttm;
-    if (!isolated) {
-        seed_ttm = parallelMap<double>(
-            _options.parallel, seed_points, [&](std::size_t flat) {
-                seed_counter.increment();
-                const PortfolioProduct& product =
-                    products[flat / node_count];
-                const std::string& node = nodes[flat % node_count];
-                try {
-                    return _model
-                        .evaluate(retargetDesign(product.design, node),
-                                  product.n_chips)
-                        .total()
-                        .value();
-                } catch (const ModelError&) {
-                    return std::numeric_limits<double>::infinity();
-                }
-            });
-    } else {
-        // Isolated path: infeasibility (ModelError: die fit, dead
-        // node) stays a clean infinity sentinel exactly like the fast
-        // path; only numeric faults — NumericError from the model's
-        // finiteOr guards or an injected fault — become diagnostics.
-        std::vector<Outcome<double>> outcomes(seed_points);
-        parallelFor(
-            _options.parallel, seed_points,
-            [&](std::size_t begin, std::size_t end) {
-                for (std::size_t flat = begin; flat < end; ++flat) {
-                    outcomes[flat] = guardedPoint(flat, [&]() -> double {
-                        if (injector != nullptr &&
-                            injector->armedAt(flat)) {
-                            return finiteOr(injector->faultValue(flat),
-                                            DiagCode::NonFiniteTtm,
-                                            "PortfolioPlanner::plan");
-                        }
-                        const PortfolioProduct& product =
-                            products[flat / node_count];
-                        const std::string& node = nodes[flat % node_count];
-                        try {
-                            return _model
-                                .evaluate(
-                                    retargetDesign(product.design, node),
-                                    product.n_chips)
-                                .total()
-                                .value();
-                        } catch (const NumericError&) {
-                            throw;
-                        } catch (const ModelError&) {
-                            return std::numeric_limits<
-                                double>::infinity();
-                        }
-                    });
-                }
-                seed_counter.add(end - begin);
-            },
-            _options.cancel);
-        if (_options.cancel != nullptr &&
-            _options.cancel->stopRequested()) {
-            markUnevaluated(outcomes, *_options.cancel,
-                            "PortfolioPlanner::plan");
+    PointKernel<std::optional<double>> seeds;
+    seeds.name = "PortfolioPlanner::plan";
+    seeds.count = products.size() * node_count;
+    seeds.nonfinite = DiagCode::NonFiniteTtm;
+    seeds.counter = &seed_counter;
+    seeds.point = [&](std::size_t flat) -> std::optional<double> {
+        const PortfolioProduct& product = products[flat / node_count];
+        const std::string& node = nodes[flat % node_count];
+        try {
+            return _model
+                .evaluate(retargetDesign(product.design, node),
+                          product.n_chips)
+                .total()
+                .value();
+        } catch (const NumericError&) {
+            throw;
+        } catch (const ModelError&) {
+            // Infeasibility (die fit, dead node) is a domain outcome;
+            // only numeric faults become diagnostics.
+            return std::nullopt;
         }
-        enforcePolicy(outcomes, _options.failure_policy,
-                      _options.failure_report, "PortfolioPlanner::plan");
-        seed_ttm.reserve(seed_points);
-        for (const Outcome<double>& outcome : outcomes) {
-            // A failed point is not a seed candidate, like a non-fit.
-            seed_ttm.push_back(
-                outcome.valueOr(std::numeric_limits<double>::infinity()));
-        }
-    }
+    };
+    seeds.save = [](const std::optional<double>& ttm, double* slots) {
+        slots[0] = ttm.value_or(std::numeric_limits<double>::infinity());
+    };
+    seeds.restore = [](std::size_t, const double* slots) {
+        return std::isinf(slots[0]) ? std::nullopt
+                                    : std::optional<double>(slots[0]);
+    };
+    const PointBatch<std::optional<double>> seed_ttm =
+        runPoints(_options, seeds);
     std::vector<std::string> assignment;
     for (std::size_t i = 0; i < products.size(); ++i) {
         std::string best;
         double best_ttm = 0.0;
         for (std::size_t m = 0; m < node_count; ++m) {
-            const double ttm = seed_ttm[i * node_count + m];
-            if (std::isinf(ttm))
-                continue; // die does not fit at this node
+            const std::size_t flat = i * node_count + m;
+            // A failed pair is not a seed candidate, like a non-fit.
+            if (!seed_ttm.done(flat) || !seed_ttm.values[flat])
+                continue;
+            const double ttm = *seed_ttm.values[flat];
             if (best.empty() || ttm < best_ttm) {
                 best = nodes[m];
                 best_ttm = ttm;

@@ -26,13 +26,9 @@
 #include "core/allocation.hh"
 #include "core/design.hh"
 #include "core/ttm_model.hh"
-#include "support/outcome.hh"
-#include "support/threadpool.hh"
+#include "support/batch_control.hh"
 
 namespace ttmcas {
-
-class FaultInjector;
-class CancellationToken;
 
 /** One product in the portfolio. */
 struct PortfolioProduct
@@ -77,43 +73,25 @@ struct PortfolioPlan
 class PortfolioPlanner
 {
   public:
-    struct Options
+    /**
+     * Planner configuration. The product x node seeding matrix runs
+     * through the batch driver (point = product * |nodes| + node). A
+     * die that fits no node is a domain outcome, not a failure: it is
+     * never recorded. Only numeric and injected faults land in the
+     * report; under SkipAndRecord the affected (product, node) pair is
+     * simply not a seed candidate (a product whose whole row failed
+     * or was stopped then throws ModelError "fits no candidate
+     * node"). Once seeding is done the local search checks the cancel
+     * token between moves and returns the best plan found so far; it
+     * stays serial to preserve first-improvement semantics, so plans
+     * are identical for any thread count. A checkpoint binds seed 0.
+     */
+    struct Options : BatchControl
     {
         /** Candidate nodes (empty = every in-production node). */
         std::vector<std::string> candidate_nodes;
         /** Local-search move budget. */
         int max_moves = 200;
-        /**
-         * Parallelism of the product x node seeding matrix (threads
-         * = 0 uses every core, 1 forces the serial path). The local
-         * search itself stays serial to preserve first-improvement
-         * semantics, so plans are identical for any thread count.
-         */
-        ParallelConfig parallel;
-        /**
-         * Failure handling of the seeding matrix (point = product *
-         * |nodes| + node). A die that fits no node is a domain outcome,
-         * not a failure: it is never recorded. Only numeric faults and
-         * injected faults land in the report; under SkipAndRecord the
-         * affected (product, node) pair is simply not a seed candidate.
-         */
-        FailurePolicy failure_policy;
-        /** Optional deterministic fault injector; unowned, may be null. */
-        const FaultInjector* fault_injector = nullptr;
-        /** When non-null, receives the seeding FailureReport. Unowned. */
-        FailureReport* failure_report = nullptr;
-        /**
-         * Cooperative stop (deadline / SIGINT). During the seeding
-         * matrix the token is checked at chunk granularity and pairs
-         * the stop prevented become Cancelled/DeadlineExceeded
-         * failures: under Abort (default) plan() throws the structured
-         * NumericError, under SkipAndRecord the pairs leave the seed
-         * race like non-fits (a product whose whole row was stopped
-         * then throws ModelError "fits no candidate node"). Once
-         * seeding is done the local search checks the token between
-         * moves and returns the best plan found so far. Unowned.
-         */
-        const CancellationToken* cancel = nullptr;
     };
 
     explicit PortfolioPlanner(TtmModel model);

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
-#include "stats/fault_injection.hh"
-#include "support/cancel.hh"
+#include "stats/batch_driver.hh"
 #include "support/error.hh"
 #include "support/mathutil.hh"
 #include "support/metrics.hh"
@@ -156,167 +154,62 @@ SplitPlanner::optimizeCas(const DesignFactory& factory, double n_chips,
     const obs::ScopedSpan obs_span("opt", "SplitPlanner::optimizeCas");
     static const obs::Counter split_points("opt.split_points");
 
+    const char* kernel = "SplitPlanner::optimizeCas";
     const std::size_t fraction_count = _options.fractions.size();
-    const FaultInjector* injector = _options.fault_injector;
-    const bool resilient =
-        _options.cancel != nullptr || _options.retry.enabled();
-    const bool isolated = _options.failure_policy.skips() ||
-                          _options.failure_report != nullptr ||
-                          (injector != nullptr && injector->enabled()) ||
-                          resilient;
-    if (!isolated) {
-        // Pass 1: TTM of every candidate split (evaluated in parallel,
-        // one slot per fraction), and the best achievable.
-        const std::vector<double> ttm_weeks = parallelMap<double>(
-            _options.parallel, fraction_count, [&](std::size_t i) {
-                split_points.increment();
-                return combinedTtmWeeks(factory, n_chips, primary,
-                                        secondary, _options.fractions[i],
-                                        market);
-            });
-        double best_ttm = 0.0;
-        for (std::size_t i = 0; i < fraction_count; ++i) {
-            if (i == 0 || ttm_weeks[i] < best_ttm)
-                best_ttm = ttm_weeks[i];
-        }
-        const double ttm_limit = best_ttm * (1.0 + _options.ttm_slack);
 
-        // Pass 2: score the near-fastest fractions on CAS in parallel;
-        // the first-strictly-better argmax scan stays serial so the
-        // chosen plan is thread-count independent.
-        const double nan = std::numeric_limits<double>::quiet_NaN();
-        const std::vector<double> cas_scores = parallelMap<double>(
-            _options.parallel, fraction_count, [&](std::size_t i) {
-                split_points.increment();
-                if (ttm_weeks[i] > ttm_limit)
-                    return nan;
-                return cas(factory, n_chips, primary, secondary,
-                           _options.fractions[i], market);
-            });
-        ProductionPlan best;
-        bool have_best = false;
-        for (std::size_t i = 0; i < fraction_count; ++i) {
-            if (ttm_weeks[i] > ttm_limit)
-                continue;
-            const double fraction = _options.fractions[i];
-            const double score = cas_scores[i];
-            if (!have_best || score > best.cas) {
-                best.primary = primary;
-                best.secondary = fraction < 1.0 ? secondary : "";
-                best.primary_fraction = fraction;
-                best.cas = score;
-                have_best = true;
-            }
-        }
-        TTMCAS_INVARIANT(have_best, "split sweep evaluated no fractions");
-        best.ttm = ttm(factory, n_chips, best.primary,
-                       best.singleProcess() ? "" : best.secondary,
-                       best.primary_fraction, market);
-        best.cost = cost(factory, n_chips, best.primary,
-                         best.singleProcess() ? "" : best.secondary,
-                         best.primary_fraction);
-        return best;
-    }
-
-    // Isolated path. Pass 1 evaluates fraction i as point i (where the
-    // injector arms); a fraction whose TTM failed — or was never
-    // evaluated before a stop — is out of the race but does not abort
-    // the sweep.
-    const RetryPolicy* retry =
-        _options.retry.enabled() ? &_options.retry : nullptr;
-    std::vector<std::uint32_t> attempts(2 * fraction_count, 0);
-    std::vector<Outcome<double>> ttm_outcomes(fraction_count);
-    parallelFor(_options.parallel, fraction_count,
-                [&](std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) {
-                        ttm_outcomes[i] = guardedScalarPoint(
-                            injector, DiagCode::NonFiniteTtm,
-                            "SplitPlanner::optimizeCas", i,
-                            [&] {
-                                return combinedTtmWeeks(
-                                    factory, n_chips, primary, secondary,
-                                    _options.fractions[i], market);
-                            },
-                            retry, &attempts[i]);
-                    }
-                    split_points.add(end - begin);
-                },
-                _options.cancel);
+    // Pass 1: TTM of every candidate split (points [0, F)), and the
+    // best achievable.
+    PointKernel<double> ttm_points;
+    ttm_points.name = kernel;
+    ttm_points.count = fraction_count;
+    ttm_points.total = 2 * fraction_count;
+    ttm_points.nonfinite = DiagCode::NonFiniteTtm;
+    ttm_points.counter = &split_points;
+    ttm_points.point = [&](std::size_t i) {
+        return combinedTtmWeeks(factory, n_chips, primary, secondary,
+                                _options.fractions[i], market);
+    };
+    PointBatch<double> ttm_weeks = evaluatePoints(_options, ttm_points);
     double best_ttm = 0.0;
     bool have_ttm = false;
     for (std::size_t i = 0; i < fraction_count; ++i) {
-        if (!ttm_outcomes[i].ok())
-            continue;
-        if (!have_ttm || ttm_outcomes[i].value() < best_ttm)
-            best_ttm = ttm_outcomes[i].value();
-        have_ttm = true;
+        if (ttm_weeks.done(i) &&
+            (!have_ttm || ttm_weeks.values[i] < best_ttm)) {
+            best_ttm = ttm_weeks.values[i];
+            have_ttm = true;
+        }
     }
     const double ttm_limit = best_ttm * (1.0 + _options.ttm_slack);
+    const auto inRace = [&](std::size_t i) {
+        return ttm_weeks.done(i) && ttm_weeks.values[i] <= ttm_limit;
+    };
 
-    // Pass 2 scores the surviving near-fastest fractions on CAS as
-    // points [F, 2F). Fractions out of the race hold a clean NaN
-    // sentinel slot (matching the fast path's over-limit marker) so
-    // the report's point count stays 2F for any outcome.
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    std::vector<Outcome<double>> cas_outcomes(fraction_count);
-    parallelFor(_options.parallel, fraction_count,
-                [&](std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) {
-                        if (!ttm_outcomes[i].ok() ||
-                            ttm_outcomes[i].value() > ttm_limit) {
-                            cas_outcomes[i] = Outcome<double>::success(nan);
-                            continue;
-                        }
-                        cas_outcomes[i] = guardedScalarPoint(
-                            nullptr, DiagCode::NonFiniteCas,
-                            "SplitPlanner::optimizeCas",
-                            fraction_count + i,
-                            [&] {
-                                return cas(factory, n_chips, primary,
-                                           secondary,
-                                           _options.fractions[i], market);
-                            },
-                            retry, &attempts[fraction_count + i]);
-                    }
-                    split_points.add(end - begin);
-                },
-                _options.cancel);
+    // Pass 2: CAS of the near-fastest fractions (points [F, 2F)). A
+    // fraction out of the race is not scored (its slot holds 0).
+    BatchControl cas_control = _options;
+    cas_control.fault_injector = nullptr;
+    PointKernel<double> cas_points = ttm_points;
+    cas_points.first = fraction_count;
+    cas_points.nonfinite = DiagCode::NonFiniteCas;
+    cas_points.point = [&](std::size_t i) {
+        if (!inRace(i))
+            return 0.0;
+        return cas(factory, n_chips, primary, secondary,
+                   _options.fractions[i], market);
+    };
+    PointBatch<double> cas_scores = evaluatePoints(cas_control, cas_points);
+    ttm_weeks.failures.append(std::move(cas_scores.failures));
+    enforceBatch(_options, kernel, ttm_weeks.failures);
 
-    std::vector<Outcome<double>> all_outcomes = ttm_outcomes;
-    all_outcomes.insert(all_outcomes.end(), cas_outcomes.begin(),
-                        cas_outcomes.end());
-    if (_options.cancel != nullptr && _options.cancel->stopRequested())
-        markUnevaluated(all_outcomes, *_options.cancel,
-                        "SplitPlanner::optimizeCas");
-    if (retry != nullptr) {
-        RetryStats stats;
-        for (std::size_t p = 0; p < all_outcomes.size(); ++p) {
-            if (attempts[p] > 1) {
-                ++stats.retried_points;
-                stats.extra_attempts += attempts[p] - 1;
-                if (all_outcomes[p].ok())
-                    ++stats.recovered_points;
-            }
-            if (!all_outcomes[p].ok() && attempts[p] == retry->max_attempts)
-                ++stats.exhausted_points;
-        }
-        recordRetryMetrics(stats);
-        if (_options.retry_stats != nullptr)
-            *_options.retry_stats = stats;
-    } else if (_options.retry_stats != nullptr) {
-        *_options.retry_stats = RetryStats{};
-    }
-    enforcePolicy(all_outcomes, _options.failure_policy,
-                  _options.failure_report, "SplitPlanner::optimizeCas");
-
+    // The first-strictly-better argmax scan stays serial so the chosen
+    // plan is thread-count independent.
     ProductionPlan best;
     bool have_best = false;
     for (std::size_t i = 0; i < fraction_count; ++i) {
-        if (!ttm_outcomes[i].ok() || ttm_outcomes[i].value() > ttm_limit ||
-            !cas_outcomes[i].ok() || std::isnan(cas_outcomes[i].value()))
+        if (!inRace(i) || !cas_scores.done(i))
             continue;
         const double fraction = _options.fractions[i];
-        const double score = cas_outcomes[i].value();
+        const double score = cas_scores.values[i];
         if (!have_best || score > best.cas) {
             best.primary = primary;
             best.secondary = fraction < 1.0 ? secondary : "";

@@ -27,14 +27,9 @@
 #include "core/market.hh"
 #include "core/ttm_model.hh"
 #include "econ/cost_model.hh"
-#include "support/outcome.hh"
-#include "support/retry.hh"
-#include "support/threadpool.hh"
+#include "support/batch_control.hh"
 
 namespace ttmcas {
-
-class FaultInjector;
-class CancellationToken;
 
 /** Builds the architecture re-targeted to a given process node. */
 using DesignFactory = std::function<ChipDesign(const std::string&)>;
@@ -56,7 +51,17 @@ struct ProductionPlan
 class SplitPlanner
 {
   public:
-    struct Options
+    /**
+     * Planner configuration. optimizeCas runs its fraction sweep
+     * through the batch driver: points [0, F) are the pass-1 TTM
+     * evaluations (F = fraction count), [F, 2F) the pass-2 CAS
+     * evaluations, and the fault injector arms pass-1 points only.
+     * Under SkipAndRecord a failed or stopped fraction leaves the
+     * race; when none survives, optimizeCas throws. The returned plan
+     * is identical for any thread count (the argmax scan is serial).
+     * A checkpoint binds seed 0.
+     */
+    struct Options : BatchControl
     {
         double derivative_rel_step = 1e-3;
         double cas_normalization = kCasNormalization;
@@ -72,37 +77,6 @@ class SplitPlanner
          * plan is strictly slower.
          */
         double ttm_slack = 0.01;
-        /**
-         * Fraction-sweep parallelism (threads = 0 uses every core,
-         * 1 forces the serial path). The returned plan is identical
-         * for any thread count: candidates are scored into per-
-         * fraction slots and the argmax scan stays serial.
-         */
-        ParallelConfig parallel;
-        /**
-         * Per-fraction failure handling in optimizeCas: Abort
-         * (default) or SkipAndRecord, which drops failed fractions
-         * from the sweep. Point indices [0, F) are the pass-1 TTM
-         * evaluations (F = fraction count), [F, 2F) the pass-2 CAS
-         * evaluations; the fault injector arms pass-1 points only.
-         */
-        FailurePolicy failure_policy;
-        /** Optional deterministic fault injector; unowned, may be null. */
-        const FaultInjector* fault_injector = nullptr;
-        /** When non-null, receives the sweep's FailureReport. Unowned. */
-        FailureReport* failure_report = nullptr;
-        /**
-         * Cooperative stop (deadline / SIGINT), checked at chunk
-         * granularity. Fractions the stop prevented are recorded as
-         * Cancelled/DeadlineExceeded failures and leave the race; when
-         * no fraction survives, optimizeCas throws a structured
-         * NumericError instead of returning a plan. Unowned.
-         */
-        const CancellationToken* cancel = nullptr;
-        /** Per-point retry schedule (support/retry.hh); off by default. */
-        RetryPolicy retry;
-        /** When non-null, receives the sweep's retry tally. Unowned. */
-        RetryStats* retry_stats = nullptr;
     };
 
     SplitPlanner(TtmModel model, CostModel costs);

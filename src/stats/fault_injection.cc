@@ -12,11 +12,6 @@ FaultInjector::FaultInjector(Options options) : _options(options)
     TTMCAS_REQUIRE(_options.probability >= 0.0 &&
                        _options.probability <= 1.0,
                    "fault probability must be in [0, 1]");
-    TTMCAS_REQUIRE(_options.transient_fraction >= 0.0 &&
-                       _options.transient_fraction <= 1.0,
-                   "transient fraction must be in [0, 1]");
-    TTMCAS_REQUIRE(_options.transient_attempts >= 1,
-                   "transient faults must fail at least one attempt");
 }
 
 Rng
@@ -40,30 +35,6 @@ FaultInjector::armedAt(std::size_t point) const
     return stream.uniform() < _options.probability;
 }
 
-bool
-FaultInjector::transientAt(std::size_t point) const
-{
-    if (!armedAt(point) || _options.transient_fraction <= 0.0)
-        return false;
-    // Third draw of the point stream (after arming and kind), so the
-    // arming set and fault kinds are unchanged from the pre-transient
-    // injector for any seed — existing robustness tests stay valid.
-    Rng stream = pointStream(point);
-    stream.uniform();     // arming draw
-    stream.uniformInt(4); // kind draw
-    return stream.uniform() < _options.transient_fraction;
-}
-
-bool
-FaultInjector::armedAt(std::size_t point, std::uint32_t attempt) const
-{
-    if (!armedAt(point))
-        return false;
-    if (!transientAt(point))
-        return true; // permanent: faults on every attempt
-    return attempt < _options.transient_attempts;
-}
-
 FaultInjector::FaultKind
 FaultInjector::kindAt(std::size_t point) const
 {
@@ -83,17 +54,6 @@ FaultInjector::armedCount(std::size_t n) const
     return count;
 }
 
-std::size_t
-FaultInjector::armedCount(std::size_t n, std::uint32_t attempt) const
-{
-    std::size_t count = 0;
-    for (std::size_t point = 0; point < n; ++point) {
-        if (armedAt(point, attempt))
-            ++count;
-    }
-    return count;
-}
-
 void
 FaultInjector::throwInjected(std::size_t point) const
 {
@@ -103,27 +63,6 @@ FaultInjector::throwInjected(std::size_t point) const
         "injected fault (seed " + std::to_string(_options.seed) + ")";
     diagnostic.point_index = point;
     throw NumericError(std::move(diagnostic));
-}
-
-double
-FaultInjector::corruptInput(double clean, std::size_t point,
-                            std::uint32_t attempt) const
-{
-    if (!armedAt(point, attempt))
-        return clean;
-    switch (kindAt(point)) {
-      case FaultKind::NanValue:
-        return std::numeric_limits<double>::quiet_NaN();
-      case FaultKind::InfValue:
-        return std::numeric_limits<double>::infinity();
-      case FaultKind::OutOfDomain:
-        // Negative and large: outside the domain of every model input
-        // (factors, chip counts, rates are all required positive).
-        return -std::abs(clean) - 1.0e9;
-      case FaultKind::Throw:
-        throwInjected(point);
-    }
-    TTMCAS_INVARIANT(false, "unhandled FaultKind");
 }
 
 double

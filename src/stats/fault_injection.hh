@@ -6,9 +6,9 @@
  * Deterministic fault injection for the robustness test suite.
  *
  * A FaultInjector arms a deterministic, random-access subset of a
- * batch's point indices and makes each armed point fail: either by
- * corrupting a model input to NaN/Inf/out-of-domain, by substituting a
- * non-finite evaluation result, or by throwing a ModelError outright.
+ * batch's point indices and makes each armed point fail: the batch
+ * driver (stats/batch_driver.hh) substitutes a non-finite evaluation
+ * result for it, or the injector throws a NumericError outright.
  * Because arming depends only on (seed, point index) — each point gets
  * its own xoshiro stream derived with the same splitmix64 expansion
  * Rng uses for seeding and stream splits — the injected-fault set is
@@ -24,7 +24,6 @@
 
 #include "stats/rng.hh"
 #include "support/outcome.hh"
-#include "support/retry.hh"
 
 namespace ttmcas {
 
@@ -35,9 +34,9 @@ class FaultInjector
     /** How an armed point is made to fail. */
     enum class FaultKind : std::uint8_t
     {
-        NanValue = 0,    ///< corrupt to quiet NaN
-        InfValue = 1,    ///< corrupt to +infinity
-        OutOfDomain = 2, ///< corrupt to a negative out-of-domain value
+        NanValue = 0,    ///< result becomes quiet NaN
+        InfValue = 1,    ///< result becomes +infinity
+        OutOfDomain = 2, ///< result becomes quiet NaN (out of domain)
         Throw = 3,       ///< throw NumericError (a ModelError)
     };
 
@@ -48,19 +47,6 @@ class FaultInjector
         double probability = 0.0;
         /** Seed of the per-point arming streams. */
         std::uint64_t seed = 0xfa017ULL;
-        /**
-         * Fraction of armed points classified *transient* in [0, 1]
-         * (0, the default, keeps every fault permanent — the pre-retry
-         * behavior). Classification is a deterministic per-point draw,
-         * so the transient subset is identical for any thread count.
-         */
-        double transient_fraction = 0.0;
-        /**
-         * Attempts a transient point fails before succeeding: with the
-         * default 1 a transient fault fires on attempt 0 and recovers
-         * on attempt 1. Permanent faults fire on every attempt.
-         */
-        std::size_t transient_attempts = 1;
     };
 
     /** A disarmed injector (probability 0). */
@@ -78,41 +64,11 @@ class FaultInjector
     /** True when @p point is armed (depends only on seed and index). */
     bool armedAt(std::size_t point) const;
 
-    /**
-     * True when @p point still faults on retry attempt @p attempt
-     * (0-based): permanent faults fault on every attempt, transient
-     * faults only while attempt < transient_attempts. Pure function
-     * of (seed, point, attempt) — never of evaluation order.
-     */
-    bool armedAt(std::size_t point, std::uint32_t attempt) const;
-
-    /**
-     * True when armed @p point is classified transient (would recover
-     * after transient_attempts retries). False for unarmed points.
-     */
-    bool transientAt(std::size_t point) const;
-
     /** Fault kind of an armed point (cycles through all kinds). */
     FaultKind kindAt(std::size_t point) const;
 
     /** Number of armed points in [0, n) — the expected failure count. */
     std::size_t armedCount(std::size_t n) const;
-
-    /**
-     * Number of points in [0, n) still faulting on retry attempt
-     * @p attempt — the expected failure count of a kernel retrying
-     * each point up to @p attempt + 1 times.
-     */
-    std::size_t armedCount(std::size_t n, std::uint32_t attempt) const;
-
-    /**
-     * Corrupt a clean model *input* at a point still armed on retry
-     * attempt @p attempt: NaN, +Inf, a negative out-of-domain value,
-     * or throws NumericError with code InjectedFault. Returns @p clean
-     * unchanged when not armed (or recovered by the attempt).
-     */
-    double corruptInput(double clean, std::size_t point,
-                        std::uint32_t attempt = 0) const;
 
     /**
      * Fabricate a failing evaluation *result* for an armed point: NaN
@@ -128,56 +84,6 @@ class FaultInjector
 
     Options _options;
 };
-
-/**
- * Evaluate one scalar batch point through the full isolation layer:
- * injected faults fire first (when @p injector is non-null and armed),
- * then @p fn runs, then the result passes a finiteOr boundary guard
- * tagged @p nonfinite_code. Every failure mode lands in the returned
- * Outcome as a Diagnostic carrying @p point.
- *
- * With a non-null @p retry the point is re-evaluated up to
- * retry->max_attempts times with retry->backoff() between attempts:
- * the injector's transient faults recover once the attempt count
- * passes their schedule, permanent faults (and deterministic real
- * failures) exhaust every attempt and keep their final Diagnostic.
- * @p attempts_used, when non-null, receives the number of attempts
- * actually made (1 = no retry needed) — kernels collect these in
- * per-point slots and build RetryStats serially, so retry accounting
- * is thread-count invariant.
- */
-template <typename Fn>
-Outcome<double>
-guardedScalarPoint(const FaultInjector* injector, DiagCode nonfinite_code,
-                   const char* kernel, std::size_t point, Fn&& fn,
-                   const RetryPolicy* retry = nullptr,
-                   std::uint32_t* attempts_used = nullptr)
-{
-    const std::uint32_t max_attempts =
-        (retry != nullptr && retry->max_attempts > 0) ? retry->max_attempts
-                                                      : 1;
-    Outcome<double> outcome;
-    for (std::uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
-        // attempt > 0 already implies retry != nullptr (max_attempts is
-        // 1 otherwise); the explicit check keeps that invariant visible
-        // to the optimizer instead of relying on it proving the loop
-        // bound.
-        if (attempt > 0 && retry != nullptr)
-            retry->backoff(attempt - 1, point);
-        outcome = guardedPoint(point, [&]() -> double {
-            const double value =
-                (injector != nullptr && injector->armedAt(point, attempt))
-                    ? injector->faultValue(point)
-                    : fn();
-            return finiteOr(value, nonfinite_code, kernel);
-        });
-        if (attempts_used != nullptr)
-            *attempts_used = attempt + 1;
-        if (outcome.ok())
-            break;
-    }
-    return outcome;
-}
 
 } // namespace ttmcas
 

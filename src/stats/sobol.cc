@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
-#include "stats/fault_injection.hh"
+#include "stats/batch_driver.hh"
 #include "stats/lowdiscrepancy.hh"
 #include "stats/rng.hh"
 #include "stats/summary.hh"
-#include "support/cancel.hh"
-#include "support/checkpoint.hh"
 #include "support/error.hh"
 #include "support/metrics.hh"
 #include "support/trace.hh"
@@ -19,50 +16,9 @@ namespace ttmcas {
 namespace {
 
 /**
- * Chunked loop over [0, n) on an optional shared pool (inline when
- * @p pool is null). One pool serves every evaluation loop of an
- * analysis so worker threads are spawned once, not per loop.
- */
-void
-runChunked(ThreadPool* pool, std::size_t grain, std::size_t n,
-           const std::function<void(std::size_t, std::size_t)>& body,
-           const CancellationToken* cancel = nullptr)
-{
-    if (pool == nullptr) {
-        if (cancel == nullptr) {
-            body(0, n);
-            return;
-        }
-        // Inline path matches the pooled chunk granularity so a
-        // deadline stops a serial analysis at the same boundaries.
-        const std::size_t step = std::max<std::size_t>(grain, 1);
-        for (std::size_t begin = 0; begin < n; begin += step) {
-            if (cancel->stopRequested())
-                return;
-            body(begin, std::min(n, begin + step));
-        }
-    } else {
-        pool->parallelFor(n, grain, body, cancel);
-    }
-}
-
-/** Pool sized per @p config, or null for the inline/serial path. */
-std::unique_ptr<ThreadPool>
-makePool(const ParallelConfig& config, std::size_t items)
-{
-    const std::size_t grain = std::max<std::size_t>(config.grain, 1);
-    const std::size_t chunks = (items + grain - 1) / grain;
-    const std::size_t threads =
-        std::min(config.resolvedThreads(), chunks);
-    if (threads <= 1)
-        return nullptr;
-    return std::make_unique<ThreadPool>(threads);
-}
-
-/**
  * Jansen estimators for one input over aligned row vectors: returns
- * (S_i, S_Ti). Serial, ascending-j accumulation — the fixed
- * floating-point association both sobolAnalyze paths share.
+ * (S_i, S_Ti). Serial, ascending-j accumulation, so the
+ * floating-point association is fixed.
  */
 std::pair<double, double>
 jansenIndices(const std::vector<double>& f_a, const std::vector<double>& f_b,
@@ -146,12 +102,6 @@ sobolAnalyze(const std::vector<SensitivityInput>& inputs,
         }
     }
 
-    // Model evaluations fan out over the pool; every j writes its own
-    // slot, and all reductions below run serially in j order, so the
-    // indices are bitwise-identical for any thread count.
-    const std::unique_ptr<ThreadPool> pool = makePool(options.parallel, n);
-    const std::size_t grain = std::max<std::size_t>(options.parallel.grain, 1);
-
     SobolResult result;
     result.evaluations = (k + 2) * n;
     result.first_order.resize(k, 0.0);
@@ -160,175 +110,55 @@ sobolAnalyze(const std::vector<SensitivityInput>& inputs,
     for (const auto& input : inputs)
         result.input_names.push_back(input.name);
 
-    const FaultInjector* injector = options.fault_injector;
-    const bool resilient =
-        options.cancel != nullptr || options.retry.enabled() ||
-        options.resume_from != nullptr || options.checkpoint != nullptr;
-    const bool isolated = options.failure_policy.skips() ||
-                          options.failure_report != nullptr ||
-                          (injector != nullptr && injector->enabled()) ||
-                          resilient;
-    if (isolated) {
-        // Isolated path: every evaluation lands in an Outcome slot,
-        // indexed f(A)_j = j, f(B)_j = n + j, f(A_B^i)_j = (2+i)*n + j.
-        // A base row survives only when A, B, and all k hybrid
-        // evaluations of it succeeded; the estimators then run over the
-        // surviving rows in ascending j order.
-        //
-        // The same global point index keys the checkpoint, so a
-        // resumed analysis restores exactly the evaluations the
-        // interrupted one finished, bit-for-bit.
-        const std::size_t total_points = (k + 2) * n;
-        if (options.resume_from != nullptr)
-            options.resume_from->requireMatches("sobolAnalyze",
-                                                options.seed, total_points);
-        if (options.checkpoint != nullptr)
-            options.checkpoint->bind("sobolAnalyze", options.seed,
-                                     total_points);
-        const RetryPolicy* retry =
-            options.retry.enabled() ? &options.retry : nullptr;
-        std::vector<std::uint32_t> attempts(total_points, 0);
-        const auto evalPoint = [&](std::size_t point,
-                                   auto&& fn) -> Outcome<double> {
-            Outcome<double> outcome;
-            if (options.resume_from != nullptr &&
-                options.resume_from->has(point)) {
-                outcome = Outcome<double>::success(
-                    options.resume_from->value(point));
-            } else {
-                outcome = guardedScalarPoint(
-                    injector, DiagCode::NonFiniteOutput, "sobolAnalyze",
-                    point, fn, retry, &attempts[point]);
-            }
-            if (options.checkpoint != nullptr && outcome.ok())
-                options.checkpoint->record(point, outcome.value());
-            return outcome;
-        };
+    // Every evaluation is one driver point: f(A)_j = j, f(B)_j = n + j,
+    // f(A_B^i)_j = (2 + i) * n + j — also the checkpoint index, so a
+    // resumed analysis restores exactly what the interrupted one
+    // finished, bit-for-bit.
+    PointKernel<double> points;
+    points.name = "sobolAnalyze";
+    points.seed = options.seed;
+    points.count = (k + 2) * n;
+    points.counter = &evaluations;
+    points.point = [&](std::size_t p) {
+        const std::size_t block = p / n;
+        const std::size_t j = p % n;
+        if (block == 0)
+            return model(mat_a[j]);
+        if (block == 1)
+            return model(mat_b[j]);
+        // A_B^i: row j of A, column i from B.
+        thread_local std::vector<double> hybrid;
+        hybrid = mat_a[j];
+        hybrid[block - 2] = mat_b[j][block - 2];
+        return model(hybrid);
+    };
+    const PointBatch<double> batch = runPoints(options, points);
 
-        std::vector<Outcome<double>> out_a(n), out_b(n);
-        runChunked(pool.get(), grain, n,
-                   [&](std::size_t begin, std::size_t end) {
-                       for (std::size_t j = begin; j < end; ++j) {
-                           out_a[j] = evalPoint(
-                               j, [&] { return model(mat_a[j]); });
-                           out_b[j] = evalPoint(
-                               n + j, [&] { return model(mat_b[j]); });
-                       }
-                       evaluations.add(2 * (end - begin));
-                   },
-                   options.cancel);
-        std::vector<std::vector<Outcome<double>>> out_ab(
-            k, std::vector<Outcome<double>>(n));
-        for (std::size_t i = 0; i < k; ++i) {
-            runChunked(pool.get(), grain, n,
-                       [&](std::size_t begin, std::size_t end) {
-                           std::vector<double> point(k);
-                           for (std::size_t j = begin; j < end; ++j) {
-                               // A_B^i: row j of A, column i from B.
-                               point = mat_a[j];
-                               point[i] = mat_b[j][i];
-                               out_ab[i][j] = evalPoint(
-                                   (2 + i) * n + j,
-                                   [&] { return model(point); });
-                           }
-                           evaluations.add(end - begin);
-                       },
-                       options.cancel);
-        }
-
-        std::vector<Outcome<double>> flat;
-        flat.reserve(total_points);
-        for (std::size_t j = 0; j < n; ++j)
-            flat.push_back(out_a[j]);
-        for (std::size_t j = 0; j < n; ++j)
-            flat.push_back(out_b[j]);
-        for (std::size_t i = 0; i < k; ++i) {
-            for (std::size_t j = 0; j < n; ++j)
-                flat.push_back(out_ab[i][j]);
-        }
-        if (options.cancel != nullptr && options.cancel->stopRequested())
-            markUnevaluated(flat, *options.cancel, "sobolAnalyze");
-        if (retry != nullptr) {
-            RetryStats stats;
-            for (std::size_t p = 0; p < flat.size(); ++p) {
-                if (attempts[p] > 1) {
-                    ++stats.retried_points;
-                    stats.extra_attempts += attempts[p] - 1;
-                    if (flat[p].ok())
-                        ++stats.recovered_points;
-                }
-                if (!flat[p].ok() && attempts[p] == retry->max_attempts)
-                    ++stats.exhausted_points;
-            }
-            recordRetryMetrics(stats);
-            if (options.retry_stats != nullptr)
-                *options.retry_stats = stats;
-        } else if (options.retry_stats != nullptr) {
-            *options.retry_stats = RetryStats{};
-        }
-        enforcePolicy(flat, options.failure_policy, options.failure_report,
-                      "sobolAnalyze");
-
-        std::vector<std::size_t> survivors;
-        survivors.reserve(n);
-        for (std::size_t j = 0; j < n; ++j) {
-            bool row_ok = out_a[j].ok() && out_b[j].ok();
-            for (std::size_t i = 0; row_ok && i < k; ++i)
-                row_ok = out_ab[i][j].ok();
-            if (row_ok)
-                survivors.push_back(j);
-        }
-        TTMCAS_REQUIRE(survivors.size() >= 2,
-                       "sobolAnalyze: fewer than two base rows survived "
-                       "failure isolation");
-
-        std::vector<double> f_a, f_b;
-        f_a.reserve(survivors.size());
-        f_b.reserve(survivors.size());
-        for (std::size_t j : survivors) {
-            f_a.push_back(out_a[j].value());
-            f_b.push_back(out_b[j].value());
-        }
-        RunningStats pooled;
-        for (double y : f_a)
-            pooled.add(y);
-        for (double y : f_b)
-            pooled.add(y);
-        const double variance = pooled.variance();
-        result.output_mean = pooled.mean();
-        result.output_variance = variance;
-
-        if (rows != nullptr) {
-            rows->f_a = f_a;
-            rows->f_b = f_b;
-            rows->f_ab.assign(k, std::vector<double>());
-        }
-        std::vector<double> f_abi;
-        for (std::size_t i = 0; i < k; ++i) {
-            f_abi.clear();
-            f_abi.reserve(survivors.size());
-            for (std::size_t j : survivors)
-                f_abi.push_back(out_ab[i][j].value());
-            if (rows != nullptr)
-                rows->f_ab[i] = f_abi;
-            const auto [s_i, s_ti] = jansenIndices(
-                f_a, f_b, f_abi, variance, options.clip_negative);
-            result.first_order[i] = s_i;
-            result.total_effect[i] = s_ti;
-        }
-        return result;
+    // A base row survives only when A, B, and all k hybrid evaluations
+    // of it succeeded; the estimators then run over the surviving rows
+    // in ascending j order.
+    std::vector<std::size_t> survivors;
+    survivors.reserve(n);
+    for (std::size_t j = 0; j < n; ++j) {
+        bool row_ok = true;
+        for (std::size_t block = 0; row_ok && block < k + 2; ++block)
+            row_ok = batch.done(block * n + j);
+        if (row_ok)
+            survivors.push_back(j);
     }
+    TTMCAS_REQUIRE(survivors.size() >= 2,
+                   "sobolAnalyze: fewer than two base rows survived "
+                   "failure isolation");
+    const auto column = [&](std::size_t block) {
+        std::vector<double> values;
+        values.reserve(survivors.size());
+        for (std::size_t j : survivors)
+            values.push_back(batch.values[block * n + j]);
+        return values;
+    };
 
-    std::vector<double> f_a(n), f_b(n);
-    runChunked(pool.get(), grain, n,
-               [&](std::size_t begin, std::size_t end) {
-                   for (std::size_t j = begin; j < end; ++j) {
-                       f_a[j] = model(mat_a[j]);
-                       f_b[j] = model(mat_b[j]);
-                   }
-                   evaluations.add(2 * (end - begin));
-               });
-
+    const std::vector<double> f_a = column(0);
+    const std::vector<double> f_b = column(1);
     // Output variance over the pooled A/B evaluations.
     RunningStats pooled;
     for (double y : f_a)
@@ -344,26 +174,14 @@ sobolAnalyze(const std::vector<SensitivityInput>& inputs,
         rows->f_b = f_b;
         rows->f_ab.assign(k, std::vector<double>());
     }
-
-    std::vector<double> f_abi(n);
     for (std::size_t i = 0; i < k; ++i) {
-        runChunked(pool.get(), grain, n,
-                   [&](std::size_t begin, std::size_t end) {
-                       std::vector<double> point(k);
-                       for (std::size_t j = begin; j < end; ++j) {
-                           // A_B^i: row j of A, column i from B.
-                           point = mat_a[j];
-                           point[i] = mat_b[j][i];
-                           f_abi[j] = model(point);
-                       }
-                       evaluations.add(end - begin);
-                   });
-        if (rows != nullptr)
-            rows->f_ab[i] = f_abi;
-        const auto [s_i, s_ti] = jansenIndices(
-            f_a, f_b, f_abi, variance, options.clip_negative);
+        std::vector<double> f_abi = column(2 + i);
+        const auto [s_i, s_ti] = jansenIndices(f_a, f_b, f_abi, variance,
+                                               options.clip_negative);
         result.first_order[i] = s_i;
         result.total_effect[i] = s_ti;
+        if (rows != nullptr)
+            rows->f_ab[i] = std::move(f_abi);
     }
     return result;
 }
@@ -452,97 +270,49 @@ sobolBootstrapCi(const SobolRowData& rows,
         }
     };
 
-    const auto buildConfidence =
-        [&](const std::vector<std::vector<double>>& first_replicates,
-            const std::vector<std::vector<double>>& total_replicates) {
-            SobolConfidence confidence;
-            for (std::size_t i = 0; i < k; ++i) {
-                const Summary first = Summary::of(first_replicates[i]);
-                const Summary total = Summary::of(total_replicates[i]);
-                const Interval first_ci =
-                    first.percentileInterval(options.coverage);
-                const Interval total_ci =
-                    total.percentileInterval(options.coverage);
-                confidence.first_order.emplace_back(first_ci.lo,
-                                                    first_ci.hi);
-                confidence.total_effect.emplace_back(total_ci.lo,
-                                                     total_ci.hi);
-            }
-            return confidence;
-        };
-
-    const FaultInjector* injector = options.fault_injector;
-    const bool isolated = options.failure_policy.skips() ||
-                          options.failure_report != nullptr ||
-                          (injector != nullptr && injector->enabled()) ||
-                          options.cancel != nullptr;
-    if (!isolated) {
-        std::vector<std::vector<double>> first_replicates(
-            k, std::vector<double>(resamples));
-        std::vector<std::vector<double>> total_replicates(
-            k, std::vector<double>(resamples));
-        parallelFor(options.parallel, resamples,
-                    [&](std::size_t rb, std::size_t re) {
-                        std::vector<double> first(k), total(k);
-                        for (std::size_t r = rb; r < re; ++r) {
-                            computeReplicate(r, first.data(), total.data());
-                            for (std::size_t i = 0; i < k; ++i) {
-                                first_replicates[i][r] = first[i];
-                                total_replicates[i][r] = total[i];
-                            }
-                        }
-                        resample_count.add(re - rb);
-                    });
-        return buildConfidence(first_replicates, total_replicates);
-    }
-
-    // Isolated path: one resample = one point; a replicate's 2k index
-    // estimates travel in one Outcome slot and failed replicates are
-    // dropped from the percentile intervals.
-    std::vector<Outcome<std::vector<double>>> outcomes(resamples);
-    parallelFor(options.parallel, resamples,
-                [&](std::size_t rb, std::size_t re) {
-                    for (std::size_t r = rb; r < re; ++r) {
-                        outcomes[r] = guardedPoint(
-                            r, [&]() -> std::vector<double> {
-                                if (injector != nullptr &&
-                                    injector->armedAt(r)) {
-                                    finiteOr(injector->faultValue(r),
-                                             DiagCode::NonFiniteOutput,
-                                             "sobolBootstrapCi");
-                                }
-                                std::vector<double> values(2 * k);
-                                computeReplicate(r, values.data(),
-                                                 values.data() + k);
-                                for (double value : values)
-                                    finiteOr(value,
-                                             DiagCode::NonFiniteOutput,
-                                             "sobolBootstrapCi");
-                                return values;
-                            });
-                    }
-                    resample_count.add(re - rb);
-                },
-                options.cancel);
-    if (options.cancel != nullptr && options.cancel->stopRequested())
-        markUnevaluated(outcomes, *options.cancel, "sobolBootstrapCi");
-    enforcePolicy(outcomes, options.failure_policy, options.failure_report,
-                  "sobolBootstrapCi");
-
-    std::vector<std::vector<double>> first_valid(k), total_valid(k);
-    for (const Outcome<std::vector<double>>& outcome : outcomes) {
-        if (!outcome.ok())
-            continue;
-        const std::vector<double>& values = outcome.value();
-        for (std::size_t i = 0; i < k; ++i) {
-            first_valid[i].push_back(values[i]);
-            total_valid[i].push_back(values[k + i]);
-        }
-    }
-    TTMCAS_REQUIRE(first_valid[0].size() >= 2,
+    // One resample = one driver point; its 2k index estimates travel
+    // in one slot and failed replicates drop out of the intervals.
+    PointKernel<std::vector<double>> points;
+    points.name = "sobolBootstrapCi";
+    points.seed = options.seed;
+    points.count = resamples;
+    points.counter = &resample_count;
+    points.width = 2 * k;
+    points.point = [&](std::size_t r) {
+        std::vector<double> values(2 * k);
+        computeReplicate(r, values.data(), values.data() + k);
+        for (double value : values)
+            finiteOr(value, DiagCode::NonFiniteOutput, "sobolBootstrapCi");
+        return values;
+    };
+    points.save = [](const std::vector<double>& values, double* slots) {
+        std::copy(values.begin(), values.end(), slots);
+    };
+    points.restore = [&](std::size_t, const double* slots) {
+        return std::vector<double>(slots, slots + 2 * k);
+    };
+    const std::vector<std::vector<double>> replicates =
+        runPoints(options, points).survivors();
+    TTMCAS_REQUIRE(replicates.size() >= 2,
                    "sobolBootstrapCi: fewer than two replicates survived "
                    "failure isolation");
-    return buildConfidence(first_valid, total_valid);
+
+    SobolConfidence confidence;
+    std::vector<double> first(replicates.size());
+    std::vector<double> total(replicates.size());
+    for (std::size_t i = 0; i < k; ++i) {
+        for (std::size_t r = 0; r < replicates.size(); ++r) {
+            first[r] = replicates[r][i];
+            total[r] = replicates[r][k + i];
+        }
+        const Interval first_ci =
+            Summary::of(first).percentileInterval(options.coverage);
+        const Interval total_ci =
+            Summary::of(total).percentileInterval(options.coverage);
+        confidence.first_order.emplace_back(first_ci.lo, first_ci.hi);
+        confidence.total_effect.emplace_back(total_ci.lo, total_ci.hi);
+    }
+    return confidence;
 }
 
 } // namespace ttmcas

@@ -25,15 +25,9 @@
 #include <vector>
 
 #include "stats/distributions.hh"
-#include "support/outcome.hh"
-#include "support/retry.hh"
-#include "support/threadpool.hh"
+#include "support/batch_control.hh"
 
 namespace ttmcas {
-
-class FaultInjector;
-class CancellationToken;
-class SweepCheckpoint;
 
 /** One uncertain model input: a label plus its sampling distribution. */
 struct SensitivityInput
@@ -42,9 +36,25 @@ struct SensitivityInput
     const Distribution* distribution = nullptr;
 };
 
-/** Configuration for a Sobol run. */
-struct SobolOptions
+/**
+ * Configuration for a Sobol run. The (k + 2) * N model evaluations are
+ * the points of one batch-driver run, indexed f(A)_j = j,
+ * f(B)_j = N + j, f(A_B^i)_j = (2 + i) * N + j — the indices that
+ * failure reports, fault injection and checkpoints use. A base row
+ * survives only when all of its k + 2 evaluations succeeded; under
+ * SkipAndRecord the indices are computed over the surviving rows.
+ */
+struct SobolOptions : BatchControl
 {
+    /**
+     * Serial by default because the model is caller-supplied: opting
+     * into parallel.threads > 1 promises the model is safe to call
+     * concurrently. Sampling and the Jansen-estimator reductions stay
+     * serial, so the indices are bitwise-identical for any thread
+     * count.
+     */
+    SobolOptions() { parallel = ParallelConfig::serial(); }
+
     /** Base sample count N; total evaluations are N * (k + 2). */
     std::size_t base_samples = 1024;
     /** RNG seed; identical seeds give identical indices. */
@@ -60,47 +70,6 @@ struct SobolOptions
      * at the same N (the seed is then ignored).
      */
     bool use_low_discrepancy = false;
-    /**
-     * Parallelism of the model-evaluation loops. Sampling and the
-     * Jansen-estimator reductions stay serial, so the indices are
-     * bitwise-identical to the serial path for any thread count.
-     * Serial by default because @p model is caller-supplied: opting
-     * into threads > 1 promises the model is safe to call
-     * concurrently.
-     */
-    ParallelConfig parallel = ParallelConfig::serial();
-    /**
-     * Per-evaluation failure handling: Abort (default) or
-     * SkipAndRecord, which drops every base row touched by a failed
-     * evaluation and computes the indices over the surviving rows.
-     * Evaluation points are indexed f(A)_j = j, f(B)_j = N + j,
-     * f(A_B^i)_j = (2 + i) * N + j.
-     */
-    FailurePolicy failure_policy;
-    /** Optional deterministic fault injector; unowned, may be null. */
-    const FaultInjector* fault_injector = nullptr;
-    /** When non-null, receives the run's FailureReport. Unowned. */
-    FailureReport* failure_report = nullptr;
-    /**
-     * Cooperative stop (deadline / SIGINT), checked at chunk
-     * granularity; evaluations the stop prevented are recorded as
-     * Cancelled/DeadlineExceeded failures and their base rows dropped
-     * like any other failed row. Unowned, may be null.
-     */
-    const CancellationToken* cancel = nullptr;
-    /** Per-evaluation retry schedule (support/retry.hh); off by default. */
-    RetryPolicy retry;
-    /** When non-null, receives the run's retry tally. Unowned. */
-    RetryStats* retry_stats = nullptr;
-    /**
-     * Completed evaluations from a previous interrupted run, restored
-     * bit-exactly by global point index (f(A)_j = j, f(B)_j = N + j,
-     * f(A_B^i)_j = (2 + i) * N + j). Must match (kernel, seed,
-     * (k + 2) * N points). Unowned, may be null.
-     */
-    const SweepCheckpoint* resume_from = nullptr;
-    /** When non-null, completed evaluations are recorded here. Unowned. */
-    SweepCheckpoint* checkpoint = nullptr;
 };
 
 /** Result of a Sobol sensitivity analysis. */
@@ -173,9 +142,17 @@ sobolBootstrapCi(const SobolRowData& rows, std::size_t resamples = 500,
                  bool clip_negative = true,
                  const ParallelConfig& parallel = ParallelConfig::serial());
 
-/** Full configuration for sobolBootstrapCi (one resample = one point). */
-struct SobolBootstrapOptions
+/**
+ * Full configuration for sobolBootstrapCi: one resample is one point
+ * of the batch driver (2k checkpoint slots: S_i then S_Ti). Failed or
+ * stopped replicates are dropped from the percentile intervals; at
+ * least two must survive.
+ */
+struct SobolBootstrapOptions : BatchControl
 {
+    /** Serial by default, like SobolOptions (picks are pre-drawn). */
+    SobolBootstrapOptions() { parallel = ParallelConfig::serial(); }
+
     /** Bootstrap replicate count (>= 10). */
     std::size_t resamples = 500;
     /** Central coverage of the intervals, in (0, 1). */
@@ -184,23 +161,6 @@ struct SobolBootstrapOptions
     std::uint64_t seed = 0xb007;
     /** Clip index replicates at zero (see SobolOptions). */
     bool clip_negative = true;
-    /** Resample-loop parallelism (picks are pre-drawn serially). */
-    ParallelConfig parallel = ParallelConfig::serial();
-    /**
-     * Per-resample failure handling: Abort (default) or SkipAndRecord,
-     * which drops failed replicates from the percentile intervals.
-     */
-    FailurePolicy failure_policy;
-    /** Optional deterministic fault injector; unowned, may be null. */
-    const FaultInjector* fault_injector = nullptr;
-    /** When non-null, receives the run's FailureReport. Unowned. */
-    FailureReport* failure_report = nullptr;
-    /**
-     * Cooperative stop checked at chunk granularity; replicates the
-     * stop prevented are dropped from the percentile intervals (at
-     * least two must survive). Unowned, may be null.
-     */
-    const CancellationToken* cancel = nullptr;
 };
 
 /** sobolBootstrapCi with the full option set (failure isolation). */

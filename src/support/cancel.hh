@@ -34,7 +34,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <vector>
 
 #include "support/outcome.hh"
 
@@ -151,29 +150,6 @@ class ScopedSigintCancel
     void (*_previous_int)(int) = nullptr;
     void (*_previous_term)(int) = nullptr;
 };
-
-/**
- * Serial post-pass shared by the batch kernels: every outcome slot the
- * stopped loop never wrote (Outcome's default "never evaluated" state)
- * becomes a failure carrying token.stopDiagnostic(i, kernel). Returns
- * the number of slots marked. Call after the parallel loop, before
- * enforcePolicy(), and only when token.stopRequested().
- */
-template <typename T>
-std::size_t
-markUnevaluated(std::vector<Outcome<T>>& outcomes,
-                const CancellationToken& token, const char* kernel)
-{
-    std::size_t marked = 0;
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        if (!outcomes[i].unevaluated())
-            continue;
-        outcomes[i] =
-            Outcome<T>::failure(token.stopDiagnostic(i, kernel));
-        ++marked;
-    }
-    return marked;
-}
 
 } // namespace ttmcas
 

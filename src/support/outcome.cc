@@ -121,4 +121,27 @@ FailureReport::summary() const
     return os.str();
 }
 
+void
+enforcePolicy(const FailureReport& built, const FailurePolicy& policy,
+              FailureReport* report, const std::string& kernel)
+{
+    if (report != nullptr)
+        *report = built;
+    if (!built.empty() && !policy.skips()) {
+        TTMCAS_INVARIANT(!built.detailed().empty(),
+                         "an Abort report must keep its first failure");
+        throw NumericError(built.detailed().front());
+    }
+    if (policy.skips() &&
+        built.failureFraction() > policy.max_failure_fraction) {
+        Diagnostic diagnostic;
+        diagnostic.code = DiagCode::InvalidInput;
+        diagnostic.message =
+            kernel + ": " + std::to_string(built.failureCount()) + " of " +
+            std::to_string(built.pointCount()) +
+            " points failed, exceeding max_failure_fraction";
+        throw NumericError(std::move(diagnostic));
+    }
+}
+
 } // namespace ttmcas

@@ -256,19 +256,6 @@ class Outcome
     /** True when the evaluation succeeded (a value is held). */
     bool ok() const { return std::holds_alternative<T>(_data); }
 
-    /**
-     * True when this slot still holds the default-constructed "point
-     * was never evaluated" state — i.e. no success, failure, or resume
-     * restore was ever written to it. A cancelled parallel loop leaves
-     * exactly these slots behind; markUnevaluated() (support/cancel.hh)
-     * converts them to structured Cancelled/DeadlineExceeded records.
-     */
-    bool unevaluated() const
-    {
-        return !ok() &&
-               std::get<Diagnostic>(_data).point_index == kNoPointIndex &&
-               std::get<Diagnostic>(_data).code == DiagCode::Unknown;
-    }
     /** Same as ok(): `if (outcome)` tests for success. */
     explicit operator bool() const { return ok(); }
 
@@ -299,10 +286,36 @@ class Outcome
 };
 
 /**
- * Run one point evaluation through the isolation layer: exceptions
- * become Diagnostics tagged with @p point_index. NumericError keeps
- * its structured code/location; ModelError maps to InvalidInput,
- * InternalError to InternalFault, anything else to Unknown.
+ * Classify the exception currently being handled (call only inside a
+ * catch block) as a Diagnostic tagged with @p point_index. NumericError
+ * keeps its structured code/location; ModelError maps to InvalidInput,
+ * InternalError to InternalFault, any other std::exception to Unknown.
+ */
+inline Diagnostic
+currentDiagnostic(std::size_t point_index)
+{
+    try {
+        throw;
+    } catch (const NumericError& error) {
+        Diagnostic diagnostic = error.diagnostic();
+        diagnostic.point_index = point_index;
+        return diagnostic;
+    } catch (const InternalError& error) {
+        return Diagnostic{DiagCode::InternalFault, error.what(), "", 0,
+                          point_index};
+    } catch (const ModelError& error) {
+        return Diagnostic{DiagCode::InvalidInput, error.what(), "", 0,
+                          point_index};
+    } catch (const std::exception& error) {
+        return Diagnostic{DiagCode::Unknown, error.what(), "", 0,
+                          point_index};
+    }
+}
+
+/**
+ * Run one point evaluation through the isolation layer: a
+ * std::exception becomes a Diagnostic tagged with @p point_index (see
+ * currentDiagnostic()).
  */
 template <typename Fn>
 auto
@@ -312,30 +325,24 @@ guardedPoint(std::size_t point_index, Fn&& fn)
     using T = decltype(fn());
     try {
         return Outcome<T>::success(fn());
-    } catch (const NumericError& error) {
-        Diagnostic diagnostic = error.diagnostic();
-        diagnostic.point_index = point_index;
-        return Outcome<T>::failure(std::move(diagnostic));
-    } catch (const InternalError& error) {
-        return Outcome<T>::failure(Diagnostic{
-            DiagCode::InternalFault, error.what(), "", 0, point_index});
-    } catch (const ModelError& error) {
-        return Outcome<T>::failure(Diagnostic{
-            DiagCode::InvalidInput, error.what(), "", 0, point_index});
-    } catch (const std::exception& error) {
-        return Outcome<T>::failure(Diagnostic{
-            DiagCode::Unknown, error.what(), "", 0, point_index});
+    } catch (const std::exception&) {
+        return Outcome<T>::failure(currentDiagnostic(point_index));
     }
 }
 
 /**
- * Serial post-pass shared by every batch kernel: walk the per-point
- * outcome slots in index order, build the FailureReport, and enforce
- * @p policy — rethrow the lowest-index failure under Abort, throw when
- * SkipAndRecord's max_failure_fraction is exceeded. When @p report is
- * non-null it receives the built report (even when this throws is not
- * guaranteed; on success it always does). @p kernel names the batch in
- * circuit-breaker messages.
+ * Enforce @p policy on an already built report: throw NumericError
+ * carrying the lowest-index failure under Abort, and throw when
+ * SkipAndRecord's max_failure_fraction is exceeded. @p report, when
+ * non-null, receives @p built before anything is thrown. @p kernel
+ * names the batch in circuit-breaker messages.
+ */
+void enforcePolicy(const FailureReport& built, const FailurePolicy& policy,
+                   FailureReport* report, const std::string& kernel);
+
+/**
+ * Serial post-pass over per-point outcome slots: build the
+ * FailureReport in index order, then enforcePolicy() it.
  */
 template <typename T>
 void
@@ -344,29 +351,12 @@ enforcePolicy(const std::vector<Outcome<T>>& outcomes,
               const std::string& kernel)
 {
     FailureReport built;
-    const Diagnostic* first_failure = nullptr;
     for (const Outcome<T>& outcome : outcomes) {
         built.addPoint();
-        if (!outcome.ok()) {
+        if (!outcome.ok())
             built.record(outcome.diagnostic());
-            if (first_failure == nullptr)
-                first_failure = &outcome.diagnostic();
-        }
     }
-    if (report != nullptr)
-        *report = built;
-    if (first_failure != nullptr && !policy.skips())
-        throw NumericError(*first_failure);
-    if (policy.skips() &&
-        built.failureFraction() > policy.max_failure_fraction) {
-        Diagnostic diagnostic;
-        diagnostic.code = DiagCode::InvalidInput;
-        diagnostic.message =
-            kernel + ": " + std::to_string(built.failureCount()) + " of " +
-            std::to_string(built.pointCount()) +
-            " points failed, exceeding max_failure_fraction";
-        throw NumericError(std::move(diagnostic));
-    }
+    enforcePolicy(built, policy, report, kernel);
 }
 
 } // namespace ttmcas

@@ -103,7 +103,6 @@ RunManifest::toJson() const
         json.field(name, count);
     json.endObject();
     json.field("disposition", disposition);
-    json.field("total_retries", total_retries);
     json.field("parent_checkpoint", parent_checkpoint);
     json.field("checkpoint_points", checkpoint_points);
     json.key("kernel_metrics");
@@ -152,12 +151,10 @@ RunManifest::fromJson(const std::string& text)
     }
     // Resilience fields arrived after the first manifest release, so
     // they stay optional on parse: old manifests load with defaults.
+    // Manifests of releases with a retry layer also carry
+    // "total_retries"; like any unknown key it is ignored.
     if (root.has("disposition"))
         manifest.disposition = root.at("disposition").asString();
-    if (root.has("total_retries")) {
-        manifest.total_retries = static_cast<std::uint64_t>(
-            root.at("total_retries").asNumber());
-    }
     if (root.has("parent_checkpoint"))
         manifest.parent_checkpoint =
             root.at("parent_checkpoint").asString();

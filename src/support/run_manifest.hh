@@ -95,8 +95,6 @@ struct RunManifest
      * points from a parent checkpoint and finished the remainder).
      */
     std::string disposition = "completed";
-    /** Extra evaluation attempts spent by the retry layer (sum). */
-    std::uint64_t total_retries = 0;
     /** Lineage: path of the checkpoint this run resumed from. */
     std::string parent_checkpoint;
     /** Completed points carried in the checkpoint this run wrote. */

@@ -46,8 +46,8 @@ namespace ttmcas {
 class CancellationToken;
 
 /**
- * Parallelism knob threaded through UncertaintyAnalysis::Options,
- * SobolOptions, and the optimizers' option structs.
+ * Parallelism knob of every batch kernel (BatchControl::parallel,
+ * support/batch_control.hh).
  */
 struct ParallelConfig
 {
@@ -115,7 +115,7 @@ class ThreadPool
      * When @p cancel is non-null the token is checked once per chunk:
      * after it fires, workers stop claiming chunks and return, so the
      * loop completes with some chunks never run (their output slots
-     * stay untouched — the kernels' markUnevaluated() post-pass turns
+     * stay untouched — the point driver's post-pass turns
      * them into structured Cancelled/DeadlineExceeded records). A
      * chunk already executing is never interrupted mid-body, so every
      * slot is either fully written or fully untouched.

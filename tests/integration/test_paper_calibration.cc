@@ -51,6 +51,15 @@ struct Fig10Anchor
     double tolerance; // relative
 };
 
+// Without a printer gtest dumps the struct's raw bytes, which include
+// the address of `node`; under ASLR that changes the discovered test
+// names on every build.
+void
+PrintTo(const Fig10Anchor& anchor, std::ostream* os)
+{
+    *os << anchor.node << " @ " << anchor.chips;
+}
+
 class Fig10Test : public PaperCalibrationTest,
                   public ::testing::WithParamInterface<Fig10Anchor>
 {};

@@ -12,11 +12,13 @@
  * these, including under ASan/UBSan and TSan in CI.
  */
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -34,6 +36,7 @@
 #include "stats/sobol.hh"
 #include "support/cancel.hh"
 #include "support/checkpoint.hh"
+#include "support/metrics.hh"
 #include "support/outcome.hh"
 #include "tech/default_dataset.hh"
 
@@ -425,6 +428,71 @@ TEST_F(KernelIdentityTest, PreCancelledTokenIdenticalAcrossPaths)
         const auto samples = analysis.sampleTtm(a11_7nm, n_chips, {}, mc);
         EXPECT_TRUE(samples.empty());
         EXPECT_EQ(report.count(DiagCode::Cancelled), 96u);
+    }
+}
+
+// The options ttm_serve always sets — skip-and-record plus an idle
+// cancel token, with and without a fault injector — must run the SoA
+// chunk path (more than one lane per compiled-batch call; the per-
+// point path calls it with one lane) and return the default options'
+// bits, minus exactly the armed points.
+TEST_F(KernelIdentityTest, ServeStyleOptionsRunTheBatchKernel)
+{
+    FaultInjector::Options injector_options;
+    injector_options.probability = 0.15;
+    injector_options.seed = 0xfa017;
+    const FaultInjector faults(injector_options);
+    ASSERT_GT(faults.armedCount(96), 0u);
+
+    const auto ttm = [&](const UncertaintyAnalysis::Options& options) {
+        return analysis.sampleTtm(a11_7nm, n_chips, {}, options);
+    };
+    const auto demand = [&](const UncertaintyAnalysis::Options& options) {
+        return analysis.sampleWaferDemand(a11_7nm, n_chips, "7nm", options);
+    };
+    for (const auto& kernel :
+         {std::function<std::vector<double>(
+              const UncertaintyAnalysis::Options&)>(ttm),
+          std::function<std::vector<double>(
+              const UncertaintyAnalysis::Options&)>(demand)}) {
+        const std::vector<double> reference =
+            kernel(mcOptions(1, EvalPath::kBatch));
+        ASSERT_EQ(reference.size(), 96u);
+        const std::array<const FaultInjector*, 2> injectors{&faults,
+                                                            nullptr};
+        for (const FaultInjector* injector : injectors) {
+            CancellationToken token;
+            FailureReport report;
+            auto serve = mcOptions(1, EvalPath::kBatch);
+            serve.failure_policy = FailurePolicy::skipAndRecord(1.0);
+            serve.failure_report = &report;
+            serve.cancel = &token;
+            serve.fault_injector = injector;
+
+            obs::resetMetrics();
+            obs::setMetricsEnabled(true);
+            const std::vector<double> samples = kernel(serve);
+            const obs::MetricsSnapshot snapshot = obs::snapshotMetrics();
+            obs::setMetricsEnabled(false);
+
+            const auto size = std::find_if(
+                snapshot.histograms.begin(), snapshot.histograms.end(),
+                [](const obs::HistogramSnapshot& histogram) {
+                    return histogram.name == "ttm.batch.size";
+                });
+            ASSERT_NE(size, snapshot.histograms.end());
+            EXPECT_GT(size->count, 0u);
+            EXPECT_GT(size->sum, static_cast<double>(size->count));
+
+            std::vector<double> expected;
+            for (std::size_t i = 0; i < reference.size(); ++i) {
+                if (injector == nullptr || !injector->armedAt(i))
+                    expected.push_back(reference[i]);
+            }
+            EXPECT_EQ(samples, expected);
+            EXPECT_EQ(report.failureCount(),
+                      injector == nullptr ? 0u : faults.armedCount(96));
+        }
     }
 }
 

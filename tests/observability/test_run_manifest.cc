@@ -105,14 +105,12 @@ TEST(RunManifestTest, ResilienceFieldsRoundTrip)
 {
     obs::RunManifest manifest = sampleManifest();
     manifest.disposition = "resumed";
-    manifest.total_retries = 17;
     manifest.parent_checkpoint = "runs/ck.json";
     manifest.checkpoint_points = 1280;
     const obs::RunManifest reparsed =
         obs::RunManifest::fromJson(manifest.toJson());
     EXPECT_EQ(manifest, reparsed);
     EXPECT_EQ(reparsed.disposition, "resumed");
-    EXPECT_EQ(reparsed.total_retries, 17u);
     EXPECT_EQ(reparsed.parent_checkpoint, "runs/ck.json");
     EXPECT_EQ(reparsed.checkpoint_points, 1280u);
 }
@@ -151,7 +149,7 @@ TEST(RunManifestTest, ManifestsWithoutResilienceFieldsStillParse)
     JsonWriter stripped;
     stripped.beginObject();
     for (const std::string& key : document.keys()) {
-        if (key == "disposition" || key == "total_retries" ||
+        if (key == "disposition" ||
             key == "parent_checkpoint" || key == "checkpoint_points")
             continue;
         stripped.key(key);
@@ -161,9 +159,35 @@ TEST(RunManifestTest, ManifestsWithoutResilienceFieldsStillParse)
     const obs::RunManifest reparsed =
         obs::RunManifest::fromJson(stripped.str());
     EXPECT_EQ(reparsed.disposition, "completed");
-    EXPECT_EQ(reparsed.total_retries, 0u);
     EXPECT_TRUE(reparsed.parent_checkpoint.empty());
     EXPECT_EQ(reparsed.checkpoint_points, 0u);
+}
+
+TEST(RunManifestTest, ManifestsWithTotalRetriesStillParse)
+{
+    // Releases with a retry layer wrote "total_retries"; those
+    // manifests must keep loading now that the field is gone.
+    const obs::RunManifest manifest = sampleManifest();
+    const JsonValue document = parseJson(manifest.toJson());
+    JsonWriter legacy;
+    legacy.beginObject();
+    for (const std::string& key : document.keys()) {
+        legacy.key(key);
+        rewriteValue(legacy, document.at(key));
+        if (key == "disposition") {
+            legacy.key("total_retries");
+            legacy.value(17.0);
+        }
+    }
+    legacy.endObject();
+    ASSERT_NE(legacy.str().find("\"total_retries\""), std::string::npos);
+    EXPECT_EQ(obs::RunManifest::fromJson(legacy.str()), manifest);
+}
+
+TEST(RunManifestTest, WriterOmitsTotalRetries)
+{
+    const JsonValue document = parseJson(sampleManifest().toJson());
+    EXPECT_FALSE(document.has("total_retries"));
 }
 
 TEST(RunManifestTest, ToJsonIsAValidJsonObject)

@@ -2,17 +2,19 @@
  * @file
  * CancellationToken / ScopedSigintCancel unit contract: relaxed-atomic
  * stop flags, latched wall-clock deadlines, structured stop
- * diagnostics, the markUnevaluated post-pass, and cooperative chunk
- * claiming inside ThreadPool::parallelFor.
+ * diagnostics, the batch driver's stop post-pass, and cooperative
+ * chunk claiming inside ThreadPool::parallelFor.
  */
 
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "stats/batch_driver.hh"
 #include "support/cancel.hh"
 #include "support/error.hh"
 #include "support/threadpool.hh"
@@ -112,28 +114,41 @@ TEST(CancellationToken, ResetDisarmsEverything)
     EXPECT_FALSE(token.stopRequested());
 }
 
-TEST(MarkUnevaluated, MarksOnlyNeverEvaluatedSlots)
+TEST(BatchDriverCancel, MarksOnlyNeverEvaluatedPoints)
 {
+    // Serial, one point per chunk: the stop requested while point 1
+    // evaluates lands before point 2's chunk is claimed.
     CancellationToken token;
-    token.requestCancel();
-    std::vector<Outcome<double>> outcomes(4);
-    outcomes[0] = Outcome<double>::success(1.5);
-    Diagnostic real;
-    real.code = DiagCode::NonFiniteOutput;
-    real.message = "real failure";
-    real.point_index = 2;
-    outcomes[2] = Outcome<double>::failure(real);
+    BatchControl control;
+    control.parallel = ParallelConfig{1, 1};
+    control.failure_policy = FailurePolicy::skipAndRecord();
+    control.cancel = &token;
+    FailureReport report;
+    control.failure_report = &report;
+    PointKernel<double> kernel;
+    kernel.name = "testKernel";
+    kernel.count = 4;
+    kernel.point = [&](std::size_t i) {
+        if (i == 0)
+            return 1.5;
+        token.requestCancel();
+        return std::numeric_limits<double>::quiet_NaN(); // real failure
+    };
 
-    const std::size_t marked =
-        markUnevaluated(outcomes, token, "testKernel");
+    const PointBatch<double> batch = runPoints(control, kernel);
 
-    EXPECT_EQ(marked, 2u);
-    EXPECT_TRUE(outcomes[0].ok());
-    EXPECT_EQ(outcomes[1].diagnostic().code, DiagCode::Cancelled);
-    EXPECT_EQ(outcomes[1].diagnostic().point_index, 1u);
-    EXPECT_EQ(outcomes[2].diagnostic().code, DiagCode::NonFiniteOutput);
-    EXPECT_EQ(outcomes[3].diagnostic().code, DiagCode::Cancelled);
-    EXPECT_EQ(outcomes[3].diagnostic().point_index, 3u);
+    EXPECT_TRUE(batch.done(0));
+    EXPECT_EQ(report.failureCount(), 3u);
+    EXPECT_EQ(report.count(DiagCode::NonFiniteOutput), 1u);
+    EXPECT_EQ(report.count(DiagCode::Cancelled), 2u);
+    const std::vector<Diagnostic>& failures = batch.failures.diagnostics;
+    ASSERT_EQ(failures.size(), 3u);
+    EXPECT_EQ(failures[0].code, DiagCode::NonFiniteOutput);
+    EXPECT_EQ(failures[0].point_index, 1u);
+    EXPECT_EQ(failures[1].code, DiagCode::Cancelled);
+    EXPECT_EQ(failures[1].point_index, 2u);
+    EXPECT_EQ(failures[2].code, DiagCode::Cancelled);
+    EXPECT_EQ(failures[2].point_index, 3u);
 }
 
 TEST(ParallelForCancel, PreCancelledTokenRunsNoChunk)

@@ -3,8 +3,8 @@
  * The resilience contract, kernel by kernel: a fired CancellationToken
  * stops every batch kernel cleanly with partial-but-well-formed
  * results (every unevaluated point carries a structured Cancelled /
- * DeadlineExceeded diagnostic), deterministic retry recovers transient
- * faults bitwise-identically for any thread count, and a run killed
+ * DeadlineExceeded diagnostic), injected faults remove exactly the
+ * armed points and leave the survivors bitwise unchanged, and a run killed
  * mid-flight resumes from its checkpoint onto the exact result an
  * uninterrupted run produces — at 1 and at 8 threads.
  */
@@ -27,7 +27,6 @@
 #include "support/cancel.hh"
 #include "support/checkpoint.hh"
 #include "support/error.hh"
-#include "support/retry.hh"
 #include "tech/default_dataset.hh"
 
 namespace ttmcas {
@@ -196,7 +195,7 @@ TEST_F(MonteCarloResilienceTest, PartialResumeMatchesStraightRunBitwise)
     }
 }
 
-TEST_F(MonteCarloResilienceTest, RetryRecoversTransientFaultsBitwise)
+TEST_F(MonteCarloResilienceTest, InjectedFaultsLeaveSurvivorsBitwise)
 {
     const std::vector<double> clean =
         analysis.sampleTtm(design, n_chips, {}, options(1));
@@ -204,66 +203,28 @@ TEST_F(MonteCarloResilienceTest, RetryRecoversTransientFaultsBitwise)
     FaultInjector::Options fault_options;
     fault_options.probability = 0.2;
     fault_options.seed = 0xfa017;
-    fault_options.transient_fraction = 1.0;
-    fault_options.transient_attempts = 1;
     const FaultInjector faults(fault_options);
     ASSERT_GT(faults.armedCount(64), 0u);
 
-    const auto run = [&](std::size_t threads) {
+    // Every point is a pure function of (inputs, seed, index): an
+    // injected fault removes its point and nothing else.
+    std::vector<double> expected;
+    for (std::size_t i = 0; i < clean.size(); ++i) {
+        if (!faults.armedAt(i))
+            expected.push_back(clean[i]);
+    }
+
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
         auto mc = options(threads);
         mc.failure_policy = FailurePolicy::skipAndRecord();
         mc.fault_injector = &faults;
-        mc.retry = RetryPolicy::immediate(2);
-        RetryStats stats;
-        mc.retry_stats = &stats;
         FailureReport report;
         mc.failure_report = &report;
         const std::vector<double> samples =
             analysis.sampleTtm(design, n_chips, {}, mc);
-        return std::make_tuple(samples, stats, report);
-    };
-
-    const auto [serial, serial_stats, serial_report] = run(1);
-    const auto [parallel, parallel_stats, parallel_report] = run(8);
-
-    // Every fault is transient and clears on the retry: the final
-    // samples equal the clean run bit for bit.
-    EXPECT_EQ(serial, clean);
-    EXPECT_EQ(parallel, clean);
-    EXPECT_TRUE(serial_report.empty());
-    EXPECT_EQ(serial_stats.retried_points, faults.armedCount(64));
-    EXPECT_EQ(serial_stats.recovered_points, faults.armedCount(64));
-    EXPECT_EQ(serial_stats.exhausted_points, 0u);
-    EXPECT_EQ(serial_stats, parallel_stats);
-}
-
-TEST_F(MonteCarloResilienceTest, PermanentFaultsExhaustTheRetryBudget)
-{
-    FaultInjector::Options fault_options;
-    fault_options.probability = 0.2;
-    fault_options.seed = 0xfa017;
-    const FaultInjector faults(fault_options);
-    const std::size_t armed = faults.armedCount(64);
-    ASSERT_GT(armed, 0u);
-
-    auto mc = options(1);
-    mc.failure_policy = FailurePolicy::skipAndRecord();
-    mc.fault_injector = &faults;
-    mc.retry = RetryPolicy::immediate(3);
-    RetryStats stats;
-    mc.retry_stats = &stats;
-    FailureReport report;
-    mc.failure_report = &report;
-
-    const std::vector<double> samples =
-        analysis.sampleTtm(design, n_chips, {}, mc);
-
-    EXPECT_EQ(samples.size(), 64u - armed);
-    EXPECT_EQ(report.failureCount(), armed);
-    EXPECT_EQ(stats.retried_points, armed);
-    EXPECT_EQ(stats.extra_attempts, 2u * armed);
-    EXPECT_EQ(stats.recovered_points, 0u);
-    EXPECT_EQ(stats.exhausted_points, armed);
+        EXPECT_EQ(samples, expected) << "threads=" << threads;
+        EXPECT_EQ(report.failureCount(), faults.armedCount(64));
+    }
 }
 
 // ---------------------------------------------------------------- //

@@ -1,10 +1,13 @@
 #include "stats/fault_injection.hh"
 
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "stats/batch_driver.hh"
 #include "support/error.hh"
 #include "support/outcome.hh"
 
@@ -80,44 +83,13 @@ TEST(FaultInjectorTest, SeedSelectsTheArmedSet)
     EXPECT_GT(differences, 0u);
 }
 
-TEST(FaultInjectorTest, CorruptInputPassesCleanValueWhenNotArmed)
+TEST(FaultInjectorTest, InvalidOptionsAreRejected)
 {
-    const FaultInjector off = injector(0.0);
-    EXPECT_DOUBLE_EQ(off.corruptInput(42.0, 0), 42.0);
-    const FaultInjector some = injector(0.5);
-    for (std::size_t point = 0; point < 128; ++point) {
-        if (!some.armedAt(point)) {
-            EXPECT_DOUBLE_EQ(some.corruptInput(42.0, point), 42.0);
-        }
-    }
-}
-
-TEST(FaultInjectorTest, CorruptInputMatchesTheAnnouncedKind)
-{
-    const FaultInjector on = injector(1.0);
-    for (std::size_t point = 0; point < 64; ++point) {
-        switch (on.kindAt(point)) {
-        case FaultInjector::FaultKind::NanValue:
-            EXPECT_TRUE(std::isnan(on.corruptInput(42.0, point)));
-            break;
-        case FaultInjector::FaultKind::InfValue:
-            EXPECT_TRUE(std::isinf(on.corruptInput(42.0, point)));
-            break;
-        case FaultInjector::FaultKind::OutOfDomain:
-            EXPECT_LT(on.corruptInput(42.0, point), 0.0);
-            break;
-        case FaultInjector::FaultKind::Throw:
-            try {
-                on.corruptInput(42.0, point);
-                FAIL() << "Throw kind did not throw";
-            } catch (const NumericError& error) {
-                EXPECT_EQ(error.diagnostic().code,
-                          DiagCode::InjectedFault);
-                EXPECT_EQ(error.diagnostic().point_index, point);
-            }
-            break;
-        }
-    }
+    FaultInjector::Options options;
+    options.probability = 1.5;
+    EXPECT_THROW(FaultInjector{options}, ModelError);
+    options.probability = -0.1;
+    EXPECT_THROW(FaultInjector{options}, ModelError);
 }
 
 TEST(FaultInjectorTest, AllKindsOccurAcrossPoints)
@@ -142,55 +114,119 @@ TEST(FaultInjectorTest, FaultValueIsNonFiniteOrThrowsInjected)
     }
 }
 
-TEST(GuardedScalarPointTest, CleanEvaluationPassesThrough)
+// ---------------------------------------------------------------- //
+// The batch driver's scalar point guard (stats/batch_driver.hh)
+// ---------------------------------------------------------------- //
+
+/** A serial skip-and-record control, optionally with an injector. */
+BatchControl
+skipControl(const FaultInjector* faults, FailureReport* report)
 {
-    const auto outcome = guardedScalarPoint(
-        nullptr, DiagCode::NonFiniteOutput, "kernel", 0,
-        [] { return 2.5; });
-    ASSERT_TRUE(outcome.ok());
-    EXPECT_DOUBLE_EQ(outcome.value(), 2.5);
+    BatchControl control;
+    control.parallel = ParallelConfig::serial();
+    control.failure_policy = FailurePolicy::skipAndRecord();
+    control.fault_injector = faults;
+    control.failure_report = report;
+    return control;
 }
 
-TEST(GuardedScalarPointTest, NonFiniteResultBecomesTaggedDiagnostic)
+/** A driver kernel of @p n points evaluating @p fn. */
+PointKernel<double>
+kernelOf(std::size_t n, std::function<double(std::size_t)> fn,
+         DiagCode nonfinite = DiagCode::NonFiniteOutput)
 {
-    const auto outcome = guardedScalarPoint(
-        nullptr, DiagCode::NonFiniteCas, "kernel", 9,
-        [] { return std::numeric_limits<double>::quiet_NaN(); });
-    ASSERT_FALSE(outcome.ok());
-    EXPECT_EQ(outcome.diagnostic().code, DiagCode::NonFiniteCas);
-    EXPECT_EQ(outcome.diagnostic().point_index, 9u);
+    PointKernel<double> kernel;
+    kernel.name = "kernel";
+    kernel.count = n;
+    kernel.nonfinite = nonfinite;
+    kernel.point = std::move(fn);
+    return kernel;
 }
 
-TEST(GuardedScalarPointTest, EveryInjectedFaultLandsInTheOutcome)
+TEST(BatchDriverTest, CleanEvaluationPassesThrough)
 {
-    const FaultInjector on = injector(1.0);
-    for (std::size_t point = 0; point < 64; ++point) {
-        const auto outcome = guardedScalarPoint(
-            &on, DiagCode::NonFiniteOutput, "kernel", point,
-            [] { return 1.0; });
-        ASSERT_FALSE(outcome.ok()) << "point " << point;
-        EXPECT_EQ(outcome.diagnostic().point_index, point);
-        // NaN/Inf faults trip the boundary guard; Throw faults carry
-        // the injection code directly.
-        const DiagCode code = outcome.diagnostic().code;
-        EXPECT_TRUE(code == DiagCode::NonFiniteOutput ||
-                    code == DiagCode::InjectedFault)
-            << "point " << point;
+    const PointBatch<double> batch = runPoints(
+        skipControl(nullptr, nullptr),
+        kernelOf(1, [](std::size_t) { return 2.5; }));
+    ASSERT_TRUE(batch.done(0));
+    EXPECT_DOUBLE_EQ(batch.values[0], 2.5);
+}
+
+TEST(BatchDriverTest, EvaluatesEachPointExactlyOnce)
+{
+    std::vector<int> calls(16, 0);
+    const PointBatch<double> batch = runPoints(
+        skipControl(nullptr, nullptr),
+        kernelOf(16, [&](std::size_t i) {
+            ++calls[i];
+            return static_cast<double>(i);
+        }));
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+        EXPECT_EQ(calls[i], 1) << "point " << i;
+        EXPECT_TRUE(batch.done(i));
     }
 }
 
-TEST(GuardedScalarPointTest, UnarmedPointsAreUntouched)
+TEST(BatchDriverTest, NonFiniteResultBecomesTaggedDiagnostic)
+{
+    FailureReport report;
+    const PointBatch<double> batch = runPoints(
+        skipControl(nullptr, &report),
+        kernelOf(
+            10,
+            [](std::size_t i) {
+                return i == 9 ? std::numeric_limits<double>::quiet_NaN()
+                              : 1.0;
+            },
+            DiagCode::NonFiniteCas));
+    EXPECT_FALSE(batch.done(9));
+    ASSERT_EQ(report.failureCount(), 1u);
+    EXPECT_EQ(report.detailed()[0].code, DiagCode::NonFiniteCas);
+    EXPECT_EQ(report.detailed()[0].point_index, 9u);
+}
+
+TEST(BatchDriverTest, EveryInjectedFaultLandsInTheReport)
+{
+    const FaultInjector on = injector(1.0);
+    FailureReport report;
+    std::size_t calls = 0;
+    const PointBatch<double> batch = runPoints(
+        skipControl(&on, &report), kernelOf(64, [&](std::size_t) {
+            ++calls;
+            return 1.0;
+        }));
+    // Armed points are never evaluated.
+    EXPECT_EQ(calls, 0u);
+    ASSERT_EQ(report.failureCount(), 64u);
+    for (std::size_t point = 0; point < 64; ++point) {
+        EXPECT_FALSE(batch.done(point));
+        const Diagnostic& diagnostic = batch.failures.diagnostics[point];
+        EXPECT_EQ(diagnostic.point_index, point);
+        // NaN/Inf faults trip the boundary guard; Throw faults carry
+        // the injection code directly.
+        const DiagCode expected =
+            on.kindAt(point) == FaultInjector::FaultKind::Throw
+                ? DiagCode::InjectedFault
+                : DiagCode::NonFiniteOutput;
+        EXPECT_EQ(diagnostic.code, expected) << "point " << point;
+    }
+}
+
+TEST(BatchDriverTest, UnarmedPointsAreUntouched)
 {
     const FaultInjector some = injector(0.4);
+    FailureReport report;
+    const PointBatch<double> batch = runPoints(
+        skipControl(&some, &report), kernelOf(64, [](std::size_t i) {
+            return static_cast<double>(i);
+        }));
+    EXPECT_EQ(report.failureCount(), some.armedCount(64));
     for (std::size_t point = 0; point < 64; ++point) {
-        const auto outcome = guardedScalarPoint(
-            &some, DiagCode::NonFiniteOutput, "kernel", point,
-            [&] { return static_cast<double>(point); });
         if (some.armedAt(point)) {
-            EXPECT_FALSE(outcome.ok());
+            EXPECT_FALSE(batch.done(point));
         } else {
-            ASSERT_TRUE(outcome.ok());
-            EXPECT_DOUBLE_EQ(outcome.value(),
+            ASSERT_TRUE(batch.done(point));
+            EXPECT_DOUBLE_EQ(batch.values[point],
                              static_cast<double>(point));
         }
     }

@@ -259,9 +259,12 @@ TEST(SobolTest, NamesArePreserved)
     InputSet set;
     set.add("alpha", 0.0, 1.0);
     set.add("beta", 0.0, 1.0);
+    SobolOptions options;
+    options.base_samples = 64;
+    options.seed = 1;
     const SobolResult result = sobolAnalyze(
         set.inputs, [](const std::vector<double>& x) { return x[0]; },
-        SobolOptions{64, 1, true});
+        options);
     ASSERT_EQ(result.input_names.size(), 2u);
     EXPECT_EQ(result.input_names[0], "alpha");
     EXPECT_EQ(result.input_names[1], "beta");
