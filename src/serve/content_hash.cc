@@ -190,7 +190,6 @@ evalCacheKey(const ChipDesign& design, const MarketConditions& market,
     hasher.tag("n_chips").mix(params.n_chips);
     hasher.tag("samples").mix(params.samples);
     hasher.tag("band").mix(params.band);
-    hasher.tag("inputs").mix(params.inputs);
     hasher.tag("grid").mix(static_cast<std::uint64_t>(params.grid.size()));
     for (const double value : params.grid)
         hasher.mix(value);

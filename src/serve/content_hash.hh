@@ -22,11 +22,9 @@
  *  - map-backed state (market conditions) is hashed in sorted-key
  *    order, which std::map provides.
  *
- * The same helpers serve both sides of the wire: ttm_serve derives
- * cache keys from parsed requests, and `ttm_cli --sobol` stamps its
- * batch runs with the key of the equivalent server query, so CLI
- * output and server cache entries can be correlated (a unit test
- * pins the two paths to identical hashes).
+ * serve::Evaluator::cacheKey derives every key from a parsed request;
+ * ttm_cli's batch modes build the same EvalRequest and print the same
+ * key, so CLI runs and server cache entries correlate by construction.
  *
  * The hash is FNV-1a 64-bit — not cryptographic. Keys gate a cache of
  * deterministic recomputable results, so a collision costs a wrong
@@ -37,6 +35,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/design.hh"
 #include "core/ensemble.hh"
@@ -79,10 +78,7 @@ std::string marketHash(const MarketConditions& market);
 /**
  * Kernel parameters that distinguish two evaluations of the same
  * (design, market) pair. `kernel` is the request-kind name ("mc_ttm",
- * "sobol_ttm", ...); `inputs` is the varied-input count of a
- * sensitivity analysis (0 when not applicable) so e.g. the CLI's
- * 3-factor Sobol batch and the server's 6-input ttmSensitivity can
- * never alias; `grid` carries sweep points (capacity factors).
+ * "sobol_ttm", ...); `grid` carries sweep points (capacity factors).
  */
 struct EvalKeyParams
 {
@@ -91,7 +87,6 @@ struct EvalKeyParams
     double n_chips = 0.0;
     std::uint64_t samples = 0;
     double band = 0.0;
-    std::uint64_t inputs = 0;
     std::vector<double> grid;
     /**
      * Disruption-process configuration of an ensemble_ttm evaluation

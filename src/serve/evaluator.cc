@@ -6,6 +6,7 @@
 #include "core/ensemble.hh"
 #include "core/ensemble_io.hh"
 #include "core/ttm_model.hh"
+#include "core/uncertainty.hh"
 #include "opt/chiplet_explorer.hh"
 #include "opt/chiplet_io.hh"
 #include "support/error.hh"
@@ -18,12 +19,12 @@ namespace {
 
 /** The reply status implied by how a run stopped. */
 std::string
-statusOf(const CancellationToken& token)
+statusOf(const CancellationToken* token)
 {
-    if (!token.stopRequested())
+    if (token == nullptr || !token->stopRequested())
         return "ok";
-    return token.stopCode() == DiagCode::Cancelled ? "cancelled"
-                                                   : "deadline_exceeded";
+    return token->stopCode() == DiagCode::Cancelled ? "cancelled"
+                                                    : "deadline_exceeded";
 }
 
 /** Render the shared "failures" payload object. */
@@ -66,23 +67,15 @@ writeSummary(JsonWriter& json, const std::vector<double>& samples)
     json.endObject();
 }
 
-/** Shared analysis options for one server-side run. */
+/** Analysis options for one request under @p control. */
 UncertaintyAnalysis::Options
-analysisOptions(const EvalRequest& request, const CancellationToken& token,
-                FailureReport& report, const FaultInjector& injector)
+analysisOptions(const EvalRequest& request, const BatchControl& control)
 {
     UncertaintyAnalysis::Options options;
+    static_cast<BatchControl&>(options) = control;
     options.band = request.band;
     options.samples = request.samples;
     options.seed = request.seed;
-    // One request = one pool thread; concurrency lives across
-    // requests, not inside one (keeps a flood from oversubscribing).
-    options.parallel = ParallelConfig::serial();
-    options.failure_policy = FailurePolicy::skipAndRecord(1.0);
-    options.failure_report = &report;
-    options.cancel = &token;
-    if (injector.enabled())
-        options.fault_injector = &injector;
     return options;
 }
 
@@ -92,8 +85,8 @@ Evaluator::Evaluator(TechnologyDb db, FaultInjector injector)
     : _db(std::move(db)), _injector(std::move(injector))
 {}
 
-EvalKeyParams
-Evaluator::keyParams(const EvalRequest& request)
+std::string
+Evaluator::cacheKey(const EvalRequest& request)
 {
     EvalKeyParams params;
     params.kernel = requestKindName(request.kind);
@@ -101,9 +94,6 @@ Evaluator::keyParams(const EvalRequest& request)
     params.n_chips = request.n_chips;
     params.samples = request.samples;
     params.band = request.band;
-    params.inputs = request.kind == RequestKind::SobolTtm
-                        ? kUncertainInputCount
-                        : 0;
     params.grid = request.grid;
     // The disruption configuration is part of the evaluation's
     // identity: two ensembles differing in any regime parameter or
@@ -114,41 +104,73 @@ Evaluator::keyParams(const EvalRequest& request)
     // assumption must produce a different chiplet_pareto cache key.
     if (request.kind == RequestKind::ChipletPareto)
         params.chiplet = &request.chiplet;
-    return params;
-}
-
-std::string
-Evaluator::cacheKey(const EvalRequest& request)
-{
-    return evalCacheKey(request.design, request.market, keyParams(request));
+    return evalCacheKey(request.design, request.market, params);
 }
 
 EvalOutcome
 Evaluator::evaluate(const EvalRequest& request,
                     const CancellationToken& token) const
 {
-    switch (request.kind) {
-    case RequestKind::McTtm:
-    case RequestKind::McCas: return evaluateMc(request, token);
-    case RequestKind::SobolTtm: return evaluateSobol(request, token);
-    case RequestKind::CapacitySweep: return evaluateSweep(request, token);
-    case RequestKind::EnsembleTtm: return evaluateEnsemble(request, token);
-    case RequestKind::ChipletPareto:
-        return evaluateChipletPareto(request, token);
-    case RequestKind::Health:
-    case RequestKind::Stats: break;
-    }
-    TTMCAS_REQUIRE(false, "evaluator got a non-evaluation request kind");
-    return {}; // unreachable
+    // One request = one pool thread; concurrency lives across
+    // requests, not inside one (keeps a flood from oversubscribing).
+    BatchControl control;
+    control.parallel = ParallelConfig::serial();
+    control.failure_policy = FailurePolicy::skipAndRecord(1.0);
+    control.cancel = &token;
+    return evaluate(request, control);
 }
 
 EvalOutcome
-Evaluator::evaluateMc(const EvalRequest& request,
-                      const CancellationToken& token) const
+Evaluator::evaluate(const EvalRequest& request, BatchControl control) const
 {
-    FailureReport report;
+    EvalOutcome outcome;
+    control.failure_report = &outcome.failures;
+    control.fault_injector = &_injector;
+    const auto stopped = [&] {
+        return control.cancel != nullptr && control.cancel->stopRequested();
+    };
+    try {
+        switch (request.kind) {
+        case RequestKind::McTtm:
+        case RequestKind::McCas:
+            outcome.payload = evaluateMc(request, control);
+            break;
+        case RequestKind::SobolTtm:
+            outcome.payload = evaluateSobol(request, control);
+            break;
+        case RequestKind::CapacitySweep:
+            outcome.payload = evaluateSweep(request, control);
+            break;
+        case RequestKind::EnsembleTtm:
+            outcome.payload = evaluateEnsemble(request, control);
+            break;
+        case RequestKind::ChipletPareto:
+            outcome.payload = evaluateChipletPareto(request, control);
+            break;
+        case RequestKind::Health:
+        case RequestKind::Stats:
+            TTMCAS_REQUIRE(false,
+                           "evaluator got a non-evaluation request kind");
+        }
+    } catch (const Error&) {
+        // Under an Abort policy a stop surfaces as the structured
+        // Cancelled/DeadlineExceeded error; anything else is a real
+        // failure and propagates.
+        if (!stopped())
+            throw;
+        outcome.payload = "null";
+    }
+    outcome.status = statusOf(control.cancel);
+    outcome.complete = outcome.failures.empty() && !stopped();
+    return outcome;
+}
+
+std::string
+Evaluator::evaluateMc(const EvalRequest& request,
+                      const BatchControl& control) const
+{
     const UncertaintyAnalysis::Options options =
-        analysisOptions(request, token, report, _injector);
+        analysisOptions(request, control);
     const UncertaintyAnalysis analysis(_db);
     const std::vector<double> samples =
         request.kind == RequestKind::McTtm
@@ -156,10 +178,6 @@ Evaluator::evaluateMc(const EvalRequest& request,
                                  request.market, options)
             : analysis.sampleCas(request.design, request.n_chips,
                                  request.market, options);
-
-    EvalOutcome outcome;
-    outcome.status = statusOf(token);
-    outcome.complete = report.empty() && !token.stopRequested();
 
     JsonWriter json;
     json.beginObject();
@@ -174,19 +192,17 @@ Evaluator::evaluateMc(const EvalRequest& request,
     json.field("samples_completed",
                static_cast<std::uint64_t>(samples.size()));
     writeSummary(json, samples);
-    writeFailures(json, report);
+    writeFailures(json, *control.failure_report);
     json.endObject();
-    outcome.payload = json.str();
-    return outcome;
+    return json.str();
 }
 
-EvalOutcome
+std::string
 Evaluator::evaluateSobol(const EvalRequest& request,
-                         const CancellationToken& token) const
+                         const BatchControl& control) const
 {
-    FailureReport report;
     const UncertaintyAnalysis::Options options =
-        analysisOptions(request, token, report, _injector);
+        analysisOptions(request, control);
     const UncertaintyAnalysis analysis(_db);
     SobolResult result;
     bool have_indices = true;
@@ -201,15 +217,10 @@ Evaluator::evaluateSobol(const EvalRequest& request,
         // well-formed reply, with null indices and honest failure
         // counts. A throw *without* a stop request is a real internal
         // error and propagates.
-        if (!token.stopRequested())
+        if (control.cancel == nullptr || !control.cancel->stopRequested())
             throw;
         have_indices = false;
     }
-
-    EvalOutcome outcome;
-    outcome.status = statusOf(token);
-    outcome.complete =
-        have_indices && report.empty() && !token.stopRequested();
 
     JsonWriter json;
     json.beginObject();
@@ -244,19 +255,18 @@ Evaluator::evaluateSobol(const EvalRequest& request,
     } else {
         json.null();
     }
-    writeFailures(json, report);
+    writeFailures(json, *control.failure_report);
     json.endObject();
-    outcome.payload = json.str();
-    return outcome;
+    return json.str();
 }
 
-EvalOutcome
+std::string
 Evaluator::evaluateSweep(const EvalRequest& request,
-                         const CancellationToken& token) const
+                         const BatchControl& control) const
 {
     const TtmModel ttm_model(_db);
     const CasModel cas_model{TtmModel(_db)};
-    FailureReport report;
+    FailureReport& report = *control.failure_report;
 
     struct SweepPoint
     {
@@ -270,9 +280,9 @@ Evaluator::evaluateSweep(const EvalRequest& request,
         const double factor = request.grid[i];
         SweepPoint point;
         point.capacity = factor;
-        if (token.stopRequested()) {
+        if (control.cancel != nullptr && control.cancel->stopRequested()) {
             point.outcome = Outcome<CasPoint>::failure(
-                token.stopDiagnostic(i, "capacity_sweep"));
+                control.cancel->stopDiagnostic(i, "capacity_sweep"));
         } else {
             // The sweep overrides *every* capacity factor with the
             // grid value (the paper's x-axes move all nodes at once);
@@ -298,10 +308,6 @@ Evaluator::evaluateSweep(const EvalRequest& request,
             report.record(point.outcome.diagnostic());
         points.push_back(std::move(point));
     }
-
-    EvalOutcome outcome;
-    outcome.status = statusOf(token);
-    outcome.complete = report.empty() && !token.stopRequested();
 
     JsonWriter json;
     json.beginObject();
@@ -330,33 +336,22 @@ Evaluator::evaluateSweep(const EvalRequest& request,
     json.endArray();
     writeFailures(json, report);
     json.endObject();
-    outcome.payload = json.str();
-    return outcome;
+    return json.str();
 }
 
-EvalOutcome
+std::string
 Evaluator::evaluateEnsemble(const EvalRequest& request,
-                            const CancellationToken& token) const
+                            const BatchControl& control) const
 {
-    FailureReport report;
     EnsembleOptions options;
+    static_cast<BatchControl&>(options) = control;
     options.paths = request.samples;
     options.seed = request.seed;
-    // One request = one pool thread, same as every other kind; the
-    // per-path streams make the result identical at any thread count.
-    options.parallel = ParallelConfig::serial();
-    options.failure_policy = FailurePolicy::skipAndRecord(1.0);
-    options.failure_report = &report;
-    options.cancel = &token;
 
     const EnsembleRunner runner(_db);
     const EnsembleResult result = runner.run(
         request.design, request.n_chips, request.market, request.ensemble,
         options);
-
-    EvalOutcome outcome;
-    outcome.status = statusOf(token);
-    outcome.complete = report.empty() && !token.stopRequested();
 
     JsonWriter json;
     json.beginObject();
@@ -367,34 +362,23 @@ Evaluator::evaluateEnsemble(const EvalRequest& request,
     json.field("step_weeks", request.ensemble.step_weeks);
     json.key("ensemble");
     writeEnsembleResult(json, result);
-    writeFailures(json, report);
+    writeFailures(json, *control.failure_report);
     json.endObject();
-    outcome.payload = json.str();
-    return outcome;
+    return json.str();
 }
 
-EvalOutcome
+std::string
 Evaluator::evaluateChipletPareto(const EvalRequest& request,
-                                 const CancellationToken& token) const
+                                 const BatchControl& control) const
 {
-    FailureReport report;
     ChipletExplorerOptions options;
+    static_cast<BatchControl&>(options) = control;
     options.seed = request.seed;
-    // One request = one pool thread, same as every other kind; the
-    // sweep is deterministic, so the result is identical regardless.
-    options.parallel = ParallelConfig::serial();
-    options.failure_policy = FailurePolicy::skipAndRecord(1.0);
-    options.failure_report = &report;
-    options.cancel = &token;
 
     const ChipletExplorer explorer(_db);
     const ChipletParetoResult result = explorer.run(
         request.design, request.n_chips, request.market, request.chiplet,
         options);
-
-    EvalOutcome outcome;
-    outcome.status = statusOf(token);
-    outcome.complete = report.empty() && !token.stopRequested();
 
     JsonWriter json;
     json.beginObject();
@@ -403,10 +387,9 @@ Evaluator::evaluateChipletPareto(const EvalRequest& request,
     json.field("seed", request.seed);
     json.key("pareto");
     writeChipletParetoResult(json, result);
-    writeFailures(json, report);
+    writeFailures(json, *control.failure_report);
     json.endObject();
-    outcome.payload = json.str();
-    return outcome;
+    return json.str();
 }
 
 } // namespace ttmcas::serve

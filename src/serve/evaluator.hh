@@ -3,39 +3,45 @@
 
 /**
  * @file
- * Request evaluation for ttm_serve: EvalRequest in, deterministic
- * JSON result payload out.
+ * Request evaluation, shared by ttm_serve and ttm_cli: EvalRequest in,
+ * deterministic JSON result payload out.
  *
  * The evaluator wraps the analysis layer (UncertaintyAnalysis for
- * Monte-Carlo and Sobol, TtmModel/CasModel for capacity sweeps) with
- * the robustness options a long-lived server needs:
+ * Monte-Carlo and Sobol, EnsembleRunner, ChipletExplorer, and
+ * TtmModel/CasModel for capacity sweeps) and runs each request under
+ * an execution context, a BatchControl:
  *
- *  - every run takes the per-request CancellationToken, so a deadline
- *    or drain stops the evaluation cooperatively at chunk granularity;
- *  - FailurePolicy::skipAndRecord isolates per-point failures — a
- *    numerically hostile design yields a partial result plus failure
- *    counts, never an exception escaping the worker thread;
+ *  - the server's context is serial (concurrency lives across
+ *    requests), FailurePolicy::skipAndRecord(1.0), and the
+ *    per-request CancellationToken, so a deadline or drain stops the
+ *    evaluation cooperatively at chunk granularity and a numerically
+ *    hostile design yields a partial result plus failure counts;
+ *  - ttm_cli's batch modes set their own threads, failure policy,
+ *    deadline/SIGINT token, resume_from and checkpoint, and print the
+ *    payload the server would return as "result";
  *  - payloads are rendered with JsonWriter's deterministic number
  *    formatting, so an identical request re-rendered later (or served
- *    from the recovered cache) is byte-for-byte identical.
+ *    from the recovered cache) is byte-for-byte identical, at any
+ *    thread count.
  *
  * Partial results are honest: EvalOutcome::complete is true only when
  * every point evaluated cleanly, and only complete payloads may enter
  * the result cache (the server enforces this).
  *
  * Chaos testing: an armed FaultInjector makes a deterministic subset
- * of Monte-Carlo / Sobol points fail, exercising the skip-and-record
- * path under live traffic (ttm_serve --fault-rate; the chaos harness
- * asserts replies stay well-formed with honest failure counts).
+ * of points fail, exercising the skip-and-record path under live
+ * traffic (ttm_serve --fault-rate; the chaos harness asserts replies
+ * stay well-formed with honest failure counts).
  */
 
 #include <string>
 
-#include "core/uncertainty.hh"
 #include "serve/content_hash.hh"
 #include "serve/request.hh"
 #include "stats/fault_injection.hh"
+#include "support/batch_control.hh"
 #include "support/cancel.hh"
+#include "support/outcome.hh"
 #include "tech/technology_db.hh"
 
 namespace ttmcas::serve {
@@ -49,6 +55,8 @@ struct EvalOutcome
     std::string status = "ok";
     /** True when every point completed cleanly (cacheable). */
     bool complete = false;
+    /** The run's per-point failures (the payload's "failures" counts). */
+    FailureReport failures;
 };
 
 /** Maps parsed requests onto the analysis layer. */
@@ -58,44 +66,52 @@ class Evaluator
     /**
      * Evaluate against @p db (copied; the evaluator is immutable).
      * An enabled @p injector arms deterministic per-point faults on
-     * Monte-Carlo and Sobol evaluations (chaos testing only).
+     * every point-driver kernel (chaos testing only).
      */
     explicit Evaluator(TechnologyDb db,
                        FaultInjector injector = FaultInjector());
 
     /**
-     * Run one evaluation request under @p token. Never throws for
-     * request-level problems: model failures are isolated per point
-     * and reported inside the payload's "failures" object.
+     * Run one evaluation request under @p control: its parallelism,
+     * failure policy, cancel token, resume_from and checkpoint. The
+     * evaluator owns the rest: control's failure_report and
+     * fault_injector are replaced by the evaluator's own report
+     * (returned as EvalOutcome::failures) and injector.
+     *
+     * A stop never throws: the outcome carries the stop status and a
+     * partial payload ("null" when an Abort policy aborted the run on
+     * the stop). Under SkipAndRecord, model failures are isolated per
+     * point and counted in the payload's "failures" object; under
+     * Abort the lowest-index failure propagates as its exception.
+     * capacity_sweep loops its grid outside the point driver: it runs
+     * serially, records every point's error in its payload whatever
+     * the policy, and ignores resume_from and checkpoint.
+     */
+    EvalOutcome evaluate(const EvalRequest& request,
+                         BatchControl control) const;
+
+    /**
+     * Run one evaluation request in the server's context: serial,
+     * FailurePolicy::skipAndRecord(1.0), stopped by @p token. Never
+     * throws for request-level problems.
      */
     EvalOutcome evaluate(const EvalRequest& request,
                          const CancellationToken& token) const;
-
-    /**
-     * The cache-key parameters of @p request — the single source of
-     * truth shared with `ttm_cli --sobol` / `--ensemble` so CLI batch
-     * runs and server cache entries agree on keys (see
-     * content_hash.hh). For ensemble_ttm requests the returned params
-     * borrow @p request's ensemble spec; keep the request alive until
-     * the key is computed.
-     */
-    static EvalKeyParams keyParams(const EvalRequest& request);
 
     /** The full content-addressed cache key of @p request. */
     static std::string cacheKey(const EvalRequest& request);
 
   private:
-    EvalOutcome evaluateMc(const EvalRequest& request,
-                           const CancellationToken& token) const;
-    EvalOutcome evaluateSobol(const EvalRequest& request,
-                              const CancellationToken& token) const;
-    EvalOutcome evaluateSweep(const EvalRequest& request,
-                              const CancellationToken& token) const;
-    EvalOutcome evaluateEnsemble(const EvalRequest& request,
-                                 const CancellationToken& token) const;
-    EvalOutcome evaluateChipletPareto(const EvalRequest& request,
-                                      const CancellationToken& token)
-        const;
+    std::string evaluateMc(const EvalRequest& request,
+                           const BatchControl& control) const;
+    std::string evaluateSobol(const EvalRequest& request,
+                              const BatchControl& control) const;
+    std::string evaluateSweep(const EvalRequest& request,
+                              const BatchControl& control) const;
+    std::string evaluateEnsemble(const EvalRequest& request,
+                                 const BatchControl& control) const;
+    std::string evaluateChipletPareto(const EvalRequest& request,
+                                      const BatchControl& control) const;
 
     TechnologyDb _db;
     FaultInjector _injector;

@@ -289,7 +289,8 @@ isEvaluationKind(RequestKind kind)
            kind == RequestKind::ChipletPareto;
 }
 
-/** The design's process nodes, sorted and deduplicated. */
+} // namespace
+
 std::vector<std::string>
 designProcesses(const ChipDesign& design)
 {
@@ -301,8 +302,6 @@ designProcesses(const ChipDesign& design)
                     processes.end());
     return processes;
 }
-
-} // namespace
 
 const char*
 requestKindName(RequestKind kind)

@@ -144,6 +144,12 @@ struct ParsedRequest
 };
 
 /**
+ * The sorted, deduplicated process nodes of @p design: the nodes a
+ * request's default ensemble and chiplet specs cover.
+ */
+std::vector<std::string> designProcesses(const ChipDesign& design);
+
+/**
  * Parse and validate one request line. Never throws on client input:
  * every malformed or limit-violating line returns a RequestError.
  * (Programming errors — e.g. null internals — still assert.)

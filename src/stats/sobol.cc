@@ -17,19 +17,21 @@ namespace {
 
 /**
  * Jansen estimators for one input over aligned row vectors: returns
- * (S_i, S_Ti). Serial, ascending-j accumulation, so the
- * floating-point association is fixed.
+ * (S_i, S_Ti). The first-order term centres f_B on the pooled @p mean:
+ * uncentred, its error scales with mean^2 / variance, which is ~720
+ * for TTM. Serial, ascending-j accumulation, so the floating-point
+ * association is fixed.
  */
 std::pair<double, double>
 jansenIndices(const std::vector<double>& f_a, const std::vector<double>& f_b,
-              const std::vector<double>& f_abi, double variance,
+              const std::vector<double>& f_abi, double mean, double variance,
               bool clip_negative)
 {
     const std::size_t n = f_a.size();
     double first_acc = 0.0;
     double total_acc = 0.0;
     for (std::size_t j = 0; j < n; ++j) {
-        first_acc += f_b[j] * (f_abi[j] - f_a[j]);
+        first_acc += (f_b[j] - mean) * (f_abi[j] - f_a[j]);
         const double delta = f_a[j] - f_abi[j];
         total_acc += delta * delta;
     }
@@ -176,8 +178,9 @@ sobolAnalyze(const std::vector<SensitivityInput>& inputs,
     }
     for (std::size_t i = 0; i < k; ++i) {
         std::vector<double> f_abi = column(2 + i);
-        const auto [s_i, s_ti] = jansenIndices(f_a, f_b, f_abi, variance,
-                                               options.clip_negative);
+        const auto [s_i, s_ti] =
+            jansenIndices(f_a, f_b, f_abi, result.output_mean, variance,
+                          options.clip_negative);
         result.first_order[i] = s_i;
         result.total_effect[i] = s_ti;
         if (rows != nullptr)
@@ -242,6 +245,7 @@ sobolBootstrapCi(const SobolRowData& rows,
             pooled.add(rows.f_a[resample_picks[j]]);
             pooled.add(rows.f_b[resample_picks[j]]);
         }
+        const double mean = pooled.mean();
         const double variance = pooled.variance();
 
         for (std::size_t i = 0; i < k; ++i) {
@@ -250,7 +254,8 @@ sobolBootstrapCi(const SobolRowData& rows,
             for (std::size_t p = 0; p < n; ++p) {
                 const std::size_t j = resample_picks[p];
                 const double f_abi = rows.f_ab[i][j];
-                first_acc += rows.f_b[j] * (f_abi - rows.f_a[j]);
+                first_acc +=
+                    (rows.f_b[j] - mean) * (f_abi - rows.f_a[j]);
                 const double delta = rows.f_a[j] - f_abi;
                 total_acc += delta * delta;
             }

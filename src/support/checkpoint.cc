@@ -1,7 +1,8 @@
 #include "support/checkpoint.hh"
 
+#include <algorithm>
 #include <bit>
-#include <cstdio>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -17,10 +18,11 @@ namespace {
 std::string
 bitsToHex(std::uint64_t bits)
 {
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(bits));
-    return buf;
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string hex(16, '0');
+    for (int i = 15; i >= 0; --i, bits >>= 4)
+        hex[i] = kDigits[bits & 0xfu];
+    return hex;
 }
 
 /** Parse a 16-hex-digit bit pattern; throws ModelError otherwise. */
@@ -123,7 +125,12 @@ SweepCheckpoint::record(std::size_t point, double value)
     _points[point] = std::bit_cast<std::uint64_t>(value);
     if (_autoflush_every == 0)
         return;
-    if (++_records_since_flush < _autoflush_every)
+    // Each flush rewrites every recorded point, so a fixed cadence is
+    // quadratic in the sweep size; stretching it to a fixed share of
+    // the bound sweep keeps a whole run's flush work linear.
+    const std::size_t stretched =
+        (_total_points + kMaxAutoFlushes - 1) / kMaxAutoFlushes;
+    if (++_records_since_flush < std::max(_autoflush_every, stretched))
         return;
     _records_since_flush = 0;
     writeAtomicLocked(_autoflush_path);
@@ -163,15 +170,26 @@ SweepCheckpoint::toJsonLocked() const
     json.field("seed", static_cast<std::uint64_t>(_seed));
     json.field("total_points", static_cast<std::uint64_t>(_total_points));
     json.field("parent", _parent);
-    json.key("points");
-    json.beginArray();
+    // The points array is the bulk of every flush, so it is rendered
+    // straight into one buffer (the bytes JsonWriter would emit for
+    // {"index":N,"bits":"hex"} records) instead of field by field.
+    std::string points = "[";
+    points.reserve(48 * _points.size() + 2);
+    char digits[24];
     for (const auto& [index, bits] : _points) {
-        json.beginObject();
-        json.field("index", static_cast<std::uint64_t>(index));
-        json.field("bits", bitsToHex(bits));
-        json.endObject();
+        if (points.size() > 1)
+            points += ',';
+        points += "{\"index\":";
+        points.append(digits,
+                      std::to_chars(digits, digits + sizeof(digits), index)
+                          .ptr);
+        points += ",\"bits\":\"";
+        points += bitsToHex(bits);
+        points += "\"}";
     }
-    json.endArray();
+    points += ']';
+    json.key("points");
+    json.raw(points);
     json.endObject();
     return json.str();
 }

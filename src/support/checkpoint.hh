@@ -125,9 +125,15 @@ class SweepCheckpoint
     /** Load a checkpoint file; throws ModelError when unreadable. */
     static SweepCheckpoint load(const std::string& path);
 
+    /** Most auto-flushes one bound sweep triggers (see enableAutoFlush). */
+    static constexpr std::size_t kMaxAutoFlushes = 64;
+
     /**
      * Arm periodic persistence: every @p every_points record() calls,
-     * writeAtomic(@p path). every_points must be >= 1. The final flush
+     * writeAtomic(@p path). every_points must be >= 1. The cadence
+     * stretches to totalPoints() / kMaxAutoFlushes when that is
+     * larger, so a run rewrites its file at most ~64 times and the
+     * total flush work stays linear in the sweep size. The final flush
      * is still the caller's job (a kernel flushes once after its loop).
      */
     void enableAutoFlush(std::string path, std::size_t every_points);

@@ -43,19 +43,25 @@ CHIPLET_ARGS=(--node 7nm --ntt 2.4e9 --nut 2e8 --chips 5e7
 # 1. Straight run: exit 0, >= 2 frontier points, serial == 8 threads
 #    bitwise.
 # ---------------------------------------------------------------- #
-"${CLI}" "${CHIPLET_ARGS[@]}" --threads 1 > "${WORK}/straight.out"
+"${CLI}" "${CHIPLET_ARGS[@]}" --threads 1 > "${WORK}/straight.out" \
+    2> "${WORK}/straight.err"
 code=$?
 [ "${code}" -eq 0 ] || fail "straight run exited ${code}, expected 0"
 [ -s "${WORK}/straight.out" ] || fail "straight run produced no output"
-grep -q '^chiplet-pareto 48/48 candidates' "${WORK}/straight.out" ||
+grep -q '"candidates_requested":48,"candidates_completed":48,' \
+    "${WORK}/straight.out" ||
     fail "straight run did not report 48/48 completed candidates"
-grep -q ', key ' "${WORK}/straight.out" ||
+grep -Eq '^key [0-9a-f]{16}-[0-9a-f]{16}-[0-9a-f]{16}$' \
+    "${WORK}/straight.err" ||
     fail "straight run did not print a cache key"
-frontier_lines=$(grep -c '^  frontier idx=' "${WORK}/straight.out")
-[ "${frontier_lines}" -ge 2 ] ||
-    fail "expected >= 2 frontier points, got ${frontier_lines}"
+# "frontier":[i,j,...] lists the frontier's point indices.
+frontier_points=$(grep -o '"frontier":\[[0-9,]*\]' "${WORK}/straight.out" |
+    tr -cd ',[' | wc -c)
+[ "${frontier_points}" -ge 2 ] ||
+    fail "expected >= 2 frontier points, got ${frontier_points}"
 
-"${CLI}" "${CHIPLET_ARGS[@]}" --threads 8 > "${WORK}/threads8.out"
+"${CLI}" "${CHIPLET_ARGS[@]}" --threads 8 > "${WORK}/threads8.out" \
+    2> /dev/null
 code=$?
 [ "${code}" -eq 0 ] || fail "8-thread run exited ${code}, expected 0"
 cmp -s "${WORK}/straight.out" "${WORK}/threads8.out" ||
@@ -89,7 +95,7 @@ for threads in 1 8; do
     "${CLI}" "${CHIPLET_ARGS[@]}" --threads "${threads}" \
         --resume "${WORK}/ck.json" \
         --manifest "${WORK}/resume_manifest_${threads}.json" \
-        > "${WORK}/resumed_${threads}.out"
+        > "${WORK}/resumed_${threads}.out" 2> /dev/null
     code=$?
     [ "${code}" -eq 0 ] ||
         fail "resume (${threads} threads) exited ${code}, expected 0"
@@ -106,10 +112,12 @@ done
 #    structured exit-2 error naming every problem.
 # ---------------------------------------------------------------- #
 "${CLI}" --node 7nm --ntt 2.4e9 --nut 2e8 --chips 5e7 \
-    --chiplet-pareto --seed 2023 --threads 1 > "${WORK}/default.out"
+    --chiplet-pareto --seed 2023 --threads 1 > "${WORK}/default.out" \
+    2> /dev/null
 code=$?
 [ "${code}" -eq 0 ] || fail "default-spec run exited ${code}, expected 0"
-grep -q '^chiplet-pareto 6/6 candidates' "${WORK}/default.out" ||
+grep -q '"candidates_requested":6,"candidates_completed":6,' \
+    "${WORK}/default.out" ||
     fail "default spec did not sweep 3 partitions x 2 redundancy"
 
 cat > "${WORK}/hostile.json" <<'EOF'

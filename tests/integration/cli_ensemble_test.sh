@@ -10,6 +10,8 @@
 #      threads (...-resume parity half).
 #   4. An explicit --ensemble-config file reproduces across runs, and
 #      a hostile config is a structured exit-2 error, not a crash.
+#   5. Flags an ensemble_ttm request cannot carry (--engineers,
+#      --snapshot) are usage errors (exit 2), not silently ignored.
 #
 # Usage: cli_ensemble_test.sh /path/to/ttm_cli
 set -u
@@ -30,16 +32,20 @@ ENSEMBLE_ARGS=(--node 7nm --ntt 2.4e9 --nut 2e8 --chips 5e7
 # ---------------------------------------------------------------- #
 # 1. Straight run: exit 0, and serial == 8 threads bitwise.
 # ---------------------------------------------------------------- #
-"${CLI}" "${ENSEMBLE_ARGS[@]}" --threads 1 > "${WORK}/straight.out"
+"${CLI}" "${ENSEMBLE_ARGS[@]}" --threads 1 > "${WORK}/straight.out" \
+    2> "${WORK}/straight.err"
 code=$?
 [ "${code}" -eq 0 ] || fail "straight run exited ${code}, expected 0"
 [ -s "${WORK}/straight.out" ] || fail "straight run produced no output"
-grep -q '^ensemble 96/96 paths' "${WORK}/straight.out" ||
+grep -q '"paths_requested":96,"paths_completed":96,' \
+    "${WORK}/straight.out" ||
     fail "straight run did not report 96/96 completed paths"
-grep -q ', key ' "${WORK}/straight.out" ||
+grep -Eq '^key [0-9a-f]{16}-[0-9a-f]{16}-[0-9a-f]{16}$' \
+    "${WORK}/straight.err" ||
     fail "straight run did not print a cache key"
 
-"${CLI}" "${ENSEMBLE_ARGS[@]}" --threads 8 > "${WORK}/threads8.out"
+"${CLI}" "${ENSEMBLE_ARGS[@]}" --threads 8 > "${WORK}/threads8.out" \
+    2> /dev/null
 code=$?
 [ "${code}" -eq 0 ] || fail "8-thread run exited ${code}, expected 0"
 cmp -s "${WORK}/straight.out" "${WORK}/threads8.out" ||
@@ -72,7 +78,7 @@ for threads in 1 8; do
     "${CLI}" "${ENSEMBLE_ARGS[@]}" --threads "${threads}" \
         --resume "${WORK}/ck.json" \
         --manifest "${WORK}/resume_manifest_${threads}.json" \
-        > "${WORK}/resumed_${threads}.out"
+        > "${WORK}/resumed_${threads}.out" 2> /dev/null
     code=$?
     [ "${code}" -eq 0 ] ||
         fail "resume (${threads} threads) exited ${code}, expected 0"
@@ -100,13 +106,15 @@ cat > "${WORK}/spec.json" <<'EOF'
                "shock_depth": [0.5, 0.9], "shock_weeks": 3}}}}
 EOF
 "${CLI}" "${ENSEMBLE_ARGS[@]}" --threads 1 \
-    --ensemble-config "${WORK}/spec.json" > "${WORK}/config_a.out"
+    --ensemble-config "${WORK}/spec.json" > "${WORK}/config_a.out" \
+    2> /dev/null
 code=$?
 [ "${code}" -eq 0 ] || fail "config run exited ${code}, expected 0"
-grep -q 'horizon 52 weeks' "${WORK}/config_a.out" ||
+grep -q '"horizon_weeks":52,' "${WORK}/config_a.out" ||
     fail "config run ignored the configured horizon"
 "${CLI}" "${ENSEMBLE_ARGS[@]}" --threads 8 \
-    --ensemble-config "${WORK}/spec.json" > "${WORK}/config_b.out"
+    --ensemble-config "${WORK}/spec.json" > "${WORK}/config_b.out" \
+    2> /dev/null
 cmp -s "${WORK}/config_a.out" "${WORK}/config_b.out" ||
     fail "config run is not reproducible across thread counts"
 
@@ -124,6 +132,22 @@ grep -q 'invalid ensemble config' "${WORK}/hostile.err" ||
     fail "hostile config error does not name the config file"
 grep -q 'transition' "${WORK}/hostile.err" ||
     fail "hostile config error does not name the bad field"
+
+# ---------------------------------------------------------------- #
+# 5. Request-less flags: an ensemble_ttm request has no engineer count
+#    or technology snapshot, so a batch run must refuse them rather
+#    than print the key of a different evaluation.
+# ---------------------------------------------------------------- #
+for extra in "--engineers 50" "--snapshot ${WORK}/spec.json"; do
+    # shellcheck disable=SC2086  # extra is a flag and its value
+    "${CLI}" "${ENSEMBLE_ARGS[@]}" ${extra} \
+        > "${WORK}/rejected.out" 2> "${WORK}/rejected.err"
+    code=$?
+    [ "${code}" -eq 2 ] ||
+        fail "ensemble with ${extra} exited ${code}, expected 2"
+    [ ! -s "${WORK}/rejected.out" ] ||
+        fail "ensemble with ${extra} still printed a payload"
+done
 
 if [ "${FAILURES}" -ne 0 ]; then
     echo "${FAILURES} check(s) failed" >&2

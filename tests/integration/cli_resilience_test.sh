@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Integration test for the ttm_cli resilience contract:
 #
-#   1. A straight Sobol batch run exits 0.
+#   1. A straight Sobol batch run exits 0, prints the sobol_ttm
+#      payload on stdout and its cache key on stderr.
 #   2. --deadline with --checkpoint exits 3 when the budget expires,
 #      leaving a well-formed checkpoint and manifest
 #      (disposition=deadline_exceeded).
@@ -28,10 +29,17 @@ SOBOL_ARGS=(--sobol 512 --seed 2023)
 # ---------------------------------------------------------------- #
 # 1. Straight run: exit 0, reference output.
 # ---------------------------------------------------------------- #
-"${CLI}" "${SOBOL_ARGS[@]}" --threads 1 > "${WORK}/straight.out"
+"${CLI}" "${SOBOL_ARGS[@]}" --threads 1 > "${WORK}/straight.out" \
+    2> "${WORK}/straight.err"
 code=$?
 [ "${code}" -eq 0 ] || fail "straight run exited ${code}, expected 0"
 [ -s "${WORK}/straight.out" ] || fail "straight run produced no output"
+grep -q '^{"kernel":"sobol_ttm",.*"base_samples":512,' \
+    "${WORK}/straight.out" ||
+    fail "straight run did not print the sobol_ttm payload"
+grep -Eq '^key [0-9a-f]{16}-[0-9a-f]{16}-[0-9a-f]{16}$' \
+    "${WORK}/straight.err" ||
+    fail "straight run did not print its cache key on stderr"
 
 # ---------------------------------------------------------------- #
 # 2. Deadline exit: an already-expired budget must stop the run
@@ -64,7 +72,8 @@ for threads in 1 8; do
         --resume "${WORK}/ck.json" \
         --checkpoint "${WORK}/ck_resumed_${threads}.json" \
         --manifest "${WORK}/resume_manifest_${threads}.json" \
-        > "${WORK}/resumed_${threads}.out"
+        > "${WORK}/resumed_${threads}.out" \
+        2> "${WORK}/resumed_${threads}.err"
     code=$?
     [ "${code}" -eq 0 ] ||
         fail "resume (${threads} threads) exited ${code}, expected 0"
@@ -79,32 +88,39 @@ for threads in 1 8; do
 done
 
 # ---------------------------------------------------------------- #
-# 4. SIGINT mid-run: flush the checkpoint, exit 130. Timing-
-#    dependent (the signal must land while the sweep is running), so
-#    retry with a growing workload before declaring failure.
+# 4. SIGINT mid-run: flush the checkpoint, exit 130. Delivered by
+#    construction, not by racing a sleep: wait for the first
+#    auto-flush (the checkpoint file appears once 1/64 of the run's
+#    points are recorded), then freeze the process, queue SIGINT and
+#    thaw it; the batch stops at its next chunk boundary.
+#    Slack: when the file appears, 63/64 of the 262144 points and 63
+#    of the 64 flushes are still to run, about 2.5 s of work on one
+#    thread of a 4-core x86 VM, against one 10 ms poll plus two kill
+#    calls before SIGSTOP lands.
 # ---------------------------------------------------------------- #
-sigint_ok=0
-for samples in 8192 32768 131072; do
-    "${CLI}" --sobol "${samples}" --seed 2023 --threads 1 \
-        --checkpoint "${WORK}/ck_sigint.json" \
-        > "${WORK}/sigint.out" 2> "${WORK}/sigint.err" &
-    pid=$!
-    sleep 0.3
-    kill -INT "${pid}" 2> /dev/null
-    wait "${pid}"
-    code=$?
-    if [ "${code}" -eq 130 ]; then
-        sigint_ok=1
-        [ -s "${WORK}/ck_sigint.json" ] ||
-            fail "SIGINT exit did not flush the checkpoint"
-        break
-    fi
-    # Exit 0 means the run finished before the signal landed: grow
-    # the workload and try again. Any other code is a real failure.
-    [ "${code}" -eq 0 ] || fail "SIGINT run exited ${code}, expected 130"
+"${CLI}" --sobol 32768 --seed 2023 --threads 1 \
+    --checkpoint "${WORK}/ck_sigint.json" \
+    > "${WORK}/sigint.out" 2> "${WORK}/sigint.err" &
+pid=$!
+for _ in $(seq 1 6000); do
+    [ -e "${WORK}/ck_sigint.json" ] && break
+    kill -0 "${pid}" 2> /dev/null || break
+    sleep 0.01
 done
-[ "${sigint_ok}" -eq 1 ] ||
-    fail "SIGINT never interrupted the run (machine too fast?)"
+[ -e "${WORK}/ck_sigint.json" ] ||
+    fail "SIGINT run never auto-flushed its checkpoint"
+kill -STOP "${pid}" 2> /dev/null
+kill -INT "${pid}" 2> /dev/null
+kill -CONT "${pid}" 2> /dev/null
+wait "${pid}"
+code=$?
+[ "${code}" -eq 130 ] || fail "SIGINT run exited ${code}, expected 130"
+[ -s "${WORK}/ck_sigint.json" ] ||
+    fail "SIGINT exit did not flush the checkpoint"
+grep -q 'sobol_ttm stopped (cancelled); [0-9]*/262144 points' \
+    "${WORK}/sigint.err" ||
+    fail "SIGINT run did not report a cancelled partial checkpoint"
+[ ! -s "${WORK}/sigint.out" ] || fail "SIGINT run printed a payload"
 
 if [ "${FAILURES}" -ne 0 ]; then
     echo "${FAILURES} check(s) failed" >&2

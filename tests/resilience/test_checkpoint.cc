@@ -220,6 +220,27 @@ TEST_F(CheckpointFileTest, AutoFlushPersistsOnTheCadence)
     EXPECT_EQ(SweepCheckpoint::load(file).completedCount(), 5u);
 }
 
+TEST_F(CheckpointFileTest, AutoFlushCadenceStretchesWithTheSweep)
+{
+    // A 640-point sweep flushes every 640 / 64 = 10 records, not on
+    // every record: the whole run rewrites its file at most 64 times.
+    SweepCheckpoint checkpoint;
+    checkpoint.bind("k", 0, 640);
+    const std::string file = path("stretched.json");
+    checkpoint.enableAutoFlush(file, 1);
+
+    std::size_t flushes = 0;
+    for (std::size_t point = 0; point < 640; ++point) {
+        checkpoint.record(point, static_cast<double>(point));
+        if (std::filesystem::exists(file) &&
+            SweepCheckpoint::load(file).completedCount() == point + 1) {
+            EXPECT_EQ((point + 1) % 10, 0u) << "flushed at " << point;
+            ++flushes;
+        }
+    }
+    EXPECT_EQ(flushes, SweepCheckpoint::kMaxAutoFlushes);
+}
+
 TEST_F(CheckpointFileTest, AutoFlushValidatesItsArguments)
 {
     SweepCheckpoint checkpoint;

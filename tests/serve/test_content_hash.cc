@@ -2,10 +2,11 @@
  * @file
  * Content-addressed cache-key contract: the canonical hash must be
  * deterministic across runs and platforms (cache files persist across
- * restarts), free of field aliasing, sensitive to every semantic
- * field, and — the satellite requirement — identical between the
- * server's Evaluator::cacheKey path and the hand-built EvalKeyParams
- * path that `ttm_cli --sobol` uses to stamp batch runs.
+ * restarts), free of field aliasing, and sensitive to every semantic
+ * field, and identical between ttm_serve's parsed wire request and
+ * the EvalRequest ttm_cli builds from its flags (request defaults plus
+ * the mode's fields). The cli_serve_parity test checks the same
+ * agreement end to end through the two binaries.
  */
 
 #include <cctype>
@@ -15,7 +16,6 @@
 
 #include "core/design.hh"
 #include "core/market.hh"
-#include "core/uncertainty.hh"
 #include "opt/chiplet_explorer.hh"
 #include "serve/content_hash.hh"
 #include "serve/evaluator.hh"
@@ -36,6 +36,22 @@ referenceDesign()
     design.name = "ref";
     design.dies = {die};
     return design;
+}
+
+/**
+ * The request ttm_cli's batch modes build from their flags: the
+ * EvalRequest defaults with design, chip count, seed and kind set.
+ */
+EvalRequest
+cliStyleRequest(RequestKind kind, const ChipDesign& design,
+                double n_chips, std::uint64_t seed)
+{
+    EvalRequest request;
+    request.kind = kind;
+    request.design = design;
+    request.n_chips = n_chips;
+    request.seed = seed;
+    return request;
 }
 
 bool
@@ -181,50 +197,39 @@ TEST(EvalCacheKey, KernelParametersAreAllSignificant)
     EXPECT_NE(evalCacheKey(design, market, other), key);
 }
 
-TEST(EvalCacheKey, SensitivityInputCountDisambiguates)
-{
-    // The CLI's 3-factor Sobol batch and the server's 6-input
-    // ttmSensitivity share kernel name and seed; only the `inputs`
-    // field keeps their cache keys from aliasing.
-    EvalKeyParams cli;
-    cli.kernel = "sobol_ttm";
-    cli.seed = 7;
-    cli.n_chips = 5e7;
-    cli.samples = 512;
-    cli.band = 0.05;
-    cli.inputs = 3;
-    EvalKeyParams server = cli;
-    server.inputs = kUncertainInputCount;
-    const ChipDesign design = referenceDesign();
-    EXPECT_NE(evalCacheKey(design, MarketConditions{}, cli),
-              evalCacheKey(design, MarketConditions{}, server));
-}
-
 TEST(EvalCacheKey, CliAndServerPathsProduceIdenticalKeys)
 {
-    // Satellite contract: `ttm_cli --sobol` stamps its run with a
-    // hand-built EvalKeyParams; the server derives its key through
-    // parseRequestLine -> Evaluator::keyParams. Identical evaluation
-    // parameters must meet at the same key through both code paths.
+    // `ttm_cli --sobol` builds its EvalRequest in code; the server
+    // parses one off the wire. Identical evaluation parameters must
+    // meet at the same key through both paths, and that key must be
+    // the evalCacheKey of the equivalent explicit EvalKeyParams.
     const std::string line =
         R"({"id":"s1","kind":"sobol_ttm","design":{"dies":[)"
         R"({"name":"soc","process":"7nm","total_transistors":2.4e9,)"
         R"("unique_transistors":2e8}]},)"
-        R"("n_chips":5e7,"seed":7,"samples":512,"band":0.05})";
+        R"("n_chips":5e7,"seed":7,"samples":512,"band":0.10})";
     const ParsedRequest parsed = parseRequestLine(line, ServeLimits{});
     ASSERT_TRUE(parsed.ok) << parsed.error.message;
+    const std::string server_key = Evaluator::cacheKey(parsed.request);
+
+    EvalRequest cli = cliStyleRequest(RequestKind::SobolTtm,
+                                      parsed.request.design, 5e7, 7);
+    cli.samples = 512;
+    EXPECT_EQ(Evaluator::cacheKey(cli), server_key);
 
     EvalKeyParams manual;
     manual.kernel = "sobol_ttm";
     manual.seed = 7;
     manual.n_chips = 5e7;
     manual.samples = 512;
-    manual.band = 0.05;
-    manual.inputs = kUncertainInputCount;
-    const std::string cli_style_key = evalCacheKey(
-        parsed.request.design, parsed.request.market, manual);
+    manual.band = 0.10;
+    EXPECT_EQ(evalCacheKey(parsed.request.design, parsed.request.market,
+                           manual),
+              server_key);
 
-    EXPECT_EQ(Evaluator::cacheKey(parsed.request), cli_style_key);
+    // A different seed on the CLI side must not meet the server key.
+    cli.seed = 8;
+    EXPECT_NE(Evaluator::cacheKey(cli), server_key);
 }
 
 TEST(EvalCacheKey, EnsembleSpecIsPartOfTheKey)
@@ -282,10 +287,10 @@ TEST(EvalCacheKey, EnsembleSpecIsPartOfTheKey)
 
 TEST(EvalCacheKey, EnsembleCliAndServerPathsProduceIdenticalKeys)
 {
-    // Same single-source-of-truth pin as the sobol case: the key
-    // `ttm_cli --ensemble` prints (hand-built EvalKeyParams, band 0.10
-    // mirroring the request default) must equal the server's
-    // Evaluator::cacheKey for the equivalent ensemble_ttm request.
+    // `ttm_cli --ensemble` without --ensemble-config fills in
+    // EnsembleSpec::defaultsFor() over the design's processes, as the
+    // parser does for a request that omits "ensemble"; both must reach
+    // the same key.
     const std::string line =
         R"({"id":"e1","kind":"ensemble_ttm","design":{"dies":[)"
         R"({"name":"soc","process":"7nm","total_transistors":2.4e9,)"
@@ -293,6 +298,14 @@ TEST(EvalCacheKey, EnsembleCliAndServerPathsProduceIdenticalKeys)
         R"("n_chips":5e7,"seed":7,"samples":64})";
     const ParsedRequest parsed = parseRequestLine(line, ServeLimits{});
     ASSERT_TRUE(parsed.ok) << parsed.error.message;
+    const std::string server_key = Evaluator::cacheKey(parsed.request);
+
+    EvalRequest cli = cliStyleRequest(RequestKind::EnsembleTtm,
+                                      parsed.request.design, 5e7, 7);
+    cli.samples = 64;
+    cli.ensemble = EnsembleSpec::defaultsFor(
+        designProcesses(parsed.request.design));
+    EXPECT_EQ(Evaluator::cacheKey(cli), server_key);
 
     EnsembleSpec spec = EnsembleSpec::defaultsFor({"7nm"});
     EvalKeyParams manual;
@@ -302,10 +315,13 @@ TEST(EvalCacheKey, EnsembleCliAndServerPathsProduceIdenticalKeys)
     manual.samples = 64;
     manual.band = 0.10;
     manual.ensemble = &spec;
-    const std::string cli_style_key = evalCacheKey(
-        parsed.request.design, parsed.request.market, manual);
+    EXPECT_EQ(evalCacheKey(parsed.request.design, parsed.request.market,
+                           manual),
+              server_key);
 
-    EXPECT_EQ(Evaluator::cacheKey(parsed.request), cli_style_key);
+    // A different path count on the CLI side must not meet it.
+    cli.samples = 65;
+    EXPECT_NE(Evaluator::cacheKey(cli), server_key);
 }
 
 TEST(EvalCacheKey, ChipletSpecIsPartOfTheKey)
@@ -395,10 +411,10 @@ TEST(EvalCacheKey, ChipletSpecIsPartOfTheKey)
 
 TEST(EvalCacheKey, ChipletCliAndServerPathsProduceIdenticalKeys)
 {
-    // The key `ttm_cli --chiplet-pareto` prints (hand-built
-    // EvalKeyParams with the request defaults samples=256, band=0.10)
-    // must equal the server's Evaluator::cacheKey for the equivalent
-    // chiplet_pareto request, so batch runs and cache entries agree.
+    // `ttm_cli --chiplet-pareto` without --chiplet-config fills in
+    // ChipletSweepSpec::defaultsFor() and keeps the request defaults
+    // samples=256, band=0.10, as the parser does for a request that
+    // omits "chiplet"; both must reach the same key.
     const std::string line =
         R"({"id":"c1","kind":"chiplet_pareto","design":{"dies":[)"
         R"({"name":"soc","process":"7nm","total_transistors":2.4e9,)"
@@ -406,6 +422,13 @@ TEST(EvalCacheKey, ChipletCliAndServerPathsProduceIdenticalKeys)
         R"("n_chips":5e7,"seed":7})";
     const ParsedRequest parsed = parseRequestLine(line, ServeLimits{});
     ASSERT_TRUE(parsed.ok) << parsed.error.message;
+    const std::string server_key = Evaluator::cacheKey(parsed.request);
+
+    EvalRequest cli = cliStyleRequest(RequestKind::ChipletPareto,
+                                      parsed.request.design, 5e7, 7);
+    cli.chiplet = ChipletSweepSpec::defaultsFor(
+        designProcesses(parsed.request.design));
+    EXPECT_EQ(Evaluator::cacheKey(cli), server_key);
 
     ChipletSweepSpec spec = ChipletSweepSpec::defaultsFor({"7nm"});
     EvalKeyParams manual;
@@ -415,10 +438,13 @@ TEST(EvalCacheKey, ChipletCliAndServerPathsProduceIdenticalKeys)
     manual.samples = 256;
     manual.band = 0.10;
     manual.chiplet = &spec;
-    const std::string cli_style_key = evalCacheKey(
-        parsed.request.design, parsed.request.market, manual);
+    EXPECT_EQ(evalCacheKey(parsed.request.design, parsed.request.market,
+                           manual),
+              server_key);
 
-    EXPECT_EQ(Evaluator::cacheKey(parsed.request), cli_style_key);
+    // A different chip count on the CLI side must not meet it.
+    cli.n_chips = 6e7;
+    EXPECT_NE(Evaluator::cacheKey(cli), server_key);
 }
 
 } // namespace

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -26,26 +27,34 @@ struct InputSet
 
 TEST(SobolTest, LinearModelSplitsVarianceByCoefficientSquared)
 {
-    // y = 2*x1 + x2, x_i ~ U[-1, 1]: Var = 4/3 + 1/3; S1 = 0.8, S2 = 0.2.
+    // y = c + 2*x1 + x2, x_i ~ U[-1, 1]: Var = 4/3 + 1/3; S1 = 0.8,
+    // S2 = 0.2 for any offset c. The offset case guards the first-order
+    // estimator against an output whose squared mean dwarfs its
+    // variance (TTM's mean^2 is ~720x its variance).
     InputSet set;
     set.add("x1", -1.0, 1.0);
     set.add("x2", -1.0, 1.0);
 
-    SobolOptions options;
-    options.base_samples = 4096;
-    const SobolResult result = sobolAnalyze(
-        set.inputs,
-        [](const std::vector<double>& x) { return 2.0 * x[0] + x[1]; },
-        options);
+    for (const double offset : {0.0, 1e3}) {
+        SCOPED_TRACE("offset " + std::to_string(offset));
+        SobolOptions options;
+        options.base_samples = 4096;
+        const SobolResult result = sobolAnalyze(
+            set.inputs,
+            [offset](const std::vector<double>& x) {
+                return offset + 2.0 * x[0] + x[1];
+            },
+            options);
 
-    EXPECT_NEAR(result.first_order[0], 0.8, 0.05);
-    EXPECT_NEAR(result.first_order[1], 0.2, 0.05);
-    // Additive model: total effects equal first-order effects.
-    EXPECT_NEAR(result.total_effect[0], 0.8, 0.05);
-    EXPECT_NEAR(result.total_effect[1], 0.2, 0.05);
-    EXPECT_EQ(result.dominantInput(), 0u);
-    EXPECT_NEAR(result.output_mean, 0.0, 0.05);
-    EXPECT_NEAR(result.output_variance, 5.0 / 3.0, 0.1);
+        EXPECT_NEAR(result.first_order[0], 0.8, 0.05);
+        EXPECT_NEAR(result.first_order[1], 0.2, 0.05);
+        // Additive model: total effects equal first-order effects.
+        EXPECT_NEAR(result.total_effect[0], 0.8, 0.05);
+        EXPECT_NEAR(result.total_effect[1], 0.2, 0.05);
+        EXPECT_EQ(result.dominantInput(), 0u);
+        EXPECT_NEAR(result.output_mean, offset, 0.05);
+        EXPECT_NEAR(result.output_variance, 5.0 / 3.0, 0.1);
+    }
 }
 
 TEST(SobolTest, IrrelevantInputGetsNearZeroIndices)
