@@ -28,7 +28,6 @@
 #include "core/uncertainty.hh"
 #include "report/series.hh"
 #include "sim/cache.hh"
-#include "sim/pipeline.hh"
 #include "sim/trace.hh"
 #include "stats/rng.hh"
 #include "support/metrics.hh"
@@ -111,19 +110,6 @@ BM_CacheSimZipf(benchmark::State& state)
         state.iterations()));
 }
 BENCHMARK(BM_CacheSimZipf)->Arg(16 * 1024)->Arg(256 * 1024);
-
-void
-BM_PipelineSimulator10k(benchmark::State& state)
-{
-    const PipelineConfig config;
-    for (auto _ : state) {
-        PipelineSimulator simulator(config);
-        benchmark::DoNotOptimize(simulator.run(10'000, 1).cycles);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * 10'000);
-}
-BENCHMARK(BM_PipelineSimulator10k);
 
 void
 BM_SobolSixInputs256(benchmark::State& state)

@@ -43,8 +43,10 @@ jsonNumber(double value)
     if (!std::isfinite(value))
         return "null";
     // Round-trippable without decorating integers with ".000000".
-    if (value == static_cast<double>(static_cast<long long>(value)) &&
-        std::fabs(value) < 1e15) {
+    // Test the magnitude first: casting a double outside long long's
+    // range is undefined behaviour.
+    if (std::fabs(value) < 1e15 &&
+        value == static_cast<double>(static_cast<long long>(value))) {
         return std::to_string(static_cast<long long>(value));
     }
     char buf[32];

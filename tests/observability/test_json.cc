@@ -1,6 +1,7 @@
 #include "support/json.hh"
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -32,6 +33,18 @@ TEST(JsonNumberTest, NonFiniteBecomesNull)
               "null");
     EXPECT_EQ(jsonNumber(std::numeric_limits<double>::infinity()),
               "null");
+}
+
+TEST(JsonNumberTest, IntegralValuesBeyondLongLongUseExponentForm)
+{
+    // Integral doubles outside long long's range (a client can send
+    // "n_chips": 1e22) must skip the integer cast, which would be
+    // undefined behaviour, and render through %.17g.
+    for (const double value : {1e22, -9.3e18, 1e300}) {
+        char expected[32];
+        std::snprintf(expected, sizeof(expected), "%.17g", value);
+        EXPECT_EQ(jsonNumber(value), expected) << value;
+    }
 }
 
 TEST(JsonWriterTest, WritesNestedDocument)
