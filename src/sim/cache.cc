@@ -52,23 +52,27 @@ CacheConfig::validate() const
 }
 
 Cache::Cache(CacheConfig config, std::uint64_t seed)
-    : _config(config), _rng(seed)
+    : _config(config), _seed(seed), _rng(seed)
 {
     _config.validate();
-    _ways.resize(_config.numSets() * _config.associativity);
-    _plru.resize(_config.numSets(), 0);
+    const std::uint64_t sets = _config.numSets();
+    _set_mask = sets - 1;
+    _line_shift = std::countr_zero(_config.line_bytes);
+    _tag_shift = _line_shift + std::countr_zero(sets);
+    _ways.resize(sets * _config.associativity);
+    _plru.resize(sets, 0);
 }
 
 std::uint64_t
 Cache::setIndex(std::uint64_t address) const
 {
-    return (address / _config.line_bytes) % _config.numSets();
+    return (address >> _line_shift) & _set_mask;
 }
 
 std::uint64_t
 Cache::tagOf(std::uint64_t address) const
 {
-    return address / _config.line_bytes / _config.numSets();
+    return address >> _tag_shift;
 }
 
 std::uint32_t
@@ -201,6 +205,7 @@ Cache::reset()
         bits = 0;
     _stats = CacheStats{};
     _tick = 0;
+    _rng = Rng(_seed);
 }
 
 bool

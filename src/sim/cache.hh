@@ -87,7 +87,10 @@ class Cache
     /** Run a whole trace; returns the miss rate over it. */
     double run(const std::vector<std::uint64_t>& addresses);
 
-    /** Invalidate all lines and zero statistics. */
+    /**
+     * Invalidate all lines, zero statistics and reseed the replacement
+     * RNG, so a reset cache replays exactly like a freshly built one.
+     */
     void reset();
 
     /** True when @p address is currently cached (no state change). */
@@ -109,6 +112,11 @@ class Cache
     void install(std::uint64_t address);
 
     CacheConfig _config;
+    std::uint64_t _seed;
+    // Geometry is power-of-two (validated), so set and tag are bit fields.
+    std::uint64_t _set_mask = 0;
+    int _line_shift = 0;
+    int _tag_shift = 0;
     CacheStats _stats;
     std::vector<Way> _ways;       // sets x associativity
     std::vector<std::uint32_t> _plru; // one tree per set (bit-packed)

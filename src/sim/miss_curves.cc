@@ -1,6 +1,7 @@
 #include "sim/miss_curves.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "support/error.hh"
 
@@ -48,33 +49,78 @@ measureMissCurve(const Workload& workload, bool instruction_stream,
     TTMCAS_REQUIRE(generator_ptr != nullptr,
                    "workload '" + workload.name + "' lacks a stream");
 
+    // One flat tag store holds every capacity's sets back to back. Each
+    // set lists its lines most recent first; an entry is line + 1, so 0
+    // marks an invalid way and invalid ways sit at the tail of the set.
+    struct Capacity
+    {
+        std::size_t base = 0;      ///< first way in the tag store
+        std::uint64_t set_mask = 0;
+        std::uint64_t hits = 0;
+    };
+    const std::uint32_t ways = options.associativity;
+    std::vector<Capacity> capacities;
+    capacities.reserve(sizes.size());
+    std::size_t tag_store_ways = 0;
     for (std::uint64_t size : sizes) {
         CacheConfig config;
         config.size_bytes = size;
         config.line_bytes = options.line_bytes;
-        config.associativity = options.associativity;
-        config.policy = options.policy;
-        Cache cache(config, options.seed);
+        config.associativity = ways;
+        config.validate();
+        capacities.push_back({tag_store_ways, config.numSets() - 1, 0});
+        tag_store_ways += config.numSets() * ways;
+    }
+    std::vector<std::uint64_t> tags(tag_store_ways, 0);
+    const int line_shift = std::countr_zero(options.line_bytes);
 
-        // Same address sequence at every size: reset position state and
-        // reseed the RNG so curves differ only by capacity.
-        generator_ptr->reset();
-        Rng rng(options.seed);
+    // Stream the trace once and feed every access to every capacity.
+    // Move-to-front on a hit and shift-in-at-front on a miss is exact
+    // LRU with invalid-ways-first fill, so the hit counts equal those
+    // of one Cache per capacity replaying the same addresses.
+    generator_ptr->reset();
+    Rng rng(options.seed);
+    const std::size_t accesses =
+        options.warmup_accesses + options.measured_accesses;
+    // Measured accesses to the line of the access just before: that
+    // line is already most recent in its set at every capacity, so it
+    // hits everywhere and changes nothing.
+    std::uint64_t repeat_hits = 0;
+    std::uint64_t previous = 0;
+    for (std::size_t i = 0; i < accesses; ++i) {
+        const std::uint64_t line = generator_ptr->next(rng) >> line_shift;
+        const std::uint64_t entry = line + 1;
+        const bool measuring = i >= options.warmup_accesses;
+        if (entry == previous) {
+            repeat_hits += measuring ? 1 : 0;
+            continue;
+        }
+        previous = entry;
+        for (Capacity& capacity : capacities) {
+            std::uint64_t* set =
+                tags.data() + capacity.base + (line & capacity.set_mask) * ways;
+            // One walk does lookup and move-to-front: each way takes its
+            // predecessor until the entry is found (hit) or the LRU way
+            // falls off the end (miss).
+            std::uint64_t carry = entry;
+            std::uint32_t way = 0;
+            for (; way < ways; ++way) {
+                const std::uint64_t resident = set[way];
+                set[way] = carry;
+                if (resident == entry)
+                    break;
+                carry = resident;
+            }
+            if (measuring && way < ways)
+                ++capacity.hits;
+        }
+    }
 
-        for (std::size_t i = 0; i < options.warmup_accesses; ++i)
-            cache.access(generator_ptr->next(rng));
-        const std::uint64_t warm_accesses = cache.stats().accesses;
-        const std::uint64_t warm_hits = cache.stats().hits;
-
-        for (std::size_t i = 0; i < options.measured_accesses; ++i)
-            cache.access(generator_ptr->next(rng));
-
-        const std::uint64_t accesses =
-            cache.stats().accesses - warm_accesses;
-        const std::uint64_t hits = cache.stats().hits - warm_hits;
+    const auto measured = static_cast<double>(options.measured_accesses);
+    for (const Capacity& capacity : capacities) {
+        const std::uint64_t hits = capacity.hits + repeat_hits;
         curve.miss_rates.push_back(
-            static_cast<double>(accesses - hits) /
-            static_cast<double>(accesses));
+            static_cast<double>(options.measured_accesses - hits) / measured);
     }
     return curve;
 }

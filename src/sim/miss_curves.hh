@@ -5,10 +5,10 @@
  * @file
  * Miss-rate-versus-capacity curve extraction.
  *
- * Runs a workload's instruction and data streams through the cache
- * simulator at every candidate capacity (the paper sweeps 1KB..1MB in
- * powers of two) and records the steady-state miss rate — the
- * substitute for the Cantin & Hill SPEC2000 tables the paper used.
+ * Runs a workload's instruction and data streams through an LRU cache
+ * of every candidate capacity (the paper sweeps 1KB..1MB in powers of
+ * two) and records the steady-state miss rate — the substitute for the
+ * Cantin & Hill SPEC2000 tables the paper used.
  */
 
 #include <cstdint>
@@ -43,14 +43,19 @@ struct MissCurveOptions
     std::size_t measured_accesses = 800'000;
     std::uint32_t line_bytes = 64;
     std::uint32_t associativity = 4;
-    ReplacementPolicy policy = ReplacementPolicy::Lru;
     std::uint64_t seed = 0x5bec;
 
     /** The paper's 1KB..1MB power-of-two sweep. */
     static std::vector<std::uint64_t> paperSizes();
 };
 
-/** Extract one stream's miss curve. */
+/**
+ * Extract one stream's miss curve (LRU at every capacity).
+ *
+ * Generates the stream once and simulates all capacities in the same
+ * pass; the rates are bitwise-equal to running a fresh LRU Cache per
+ * capacity over the regenerated stream.
+ */
 MissCurve measureMissCurve(const Workload& workload, bool instruction_stream,
                            const MissCurveOptions& options);
 

@@ -172,6 +172,31 @@ TEST(CacheTest, ResetClearsEverything)
     EXPECT_FALSE(cache.access(0x1000)); // cold again
 }
 
+TEST(CacheTest, ResetReplaysLikeAFreshCache)
+{
+    // A working set 4x the capacity keeps evicting, so every Random
+    // victim choice shows in the hit count.
+    Rng rng(7);
+    std::vector<std::uint64_t> trace;
+    for (int i = 0; i < 4000; ++i)
+        trace.push_back(rng.uniformInt(64) * 64);
+
+    for (ReplacementPolicy policy :
+         {ReplacementPolicy::Lru, ReplacementPolicy::Fifo,
+          ReplacementPolicy::Random, ReplacementPolicy::TreePlru}) {
+        Cache fresh(smallConfig(policy), 99);
+        fresh.run(trace);
+
+        Cache reused(smallConfig(policy), 99);
+        reused.run(trace);
+        reused.reset();
+        reused.run(trace);
+        EXPECT_EQ(reused.stats().hits, fresh.stats().hits)
+            << replacementPolicyName(policy);
+        EXPECT_EQ(reused.stats().accesses, fresh.stats().accesses);
+    }
+}
+
 TEST(CacheTest, RunReturnsTraceMissRate)
 {
     Cache cache(smallConfig());
