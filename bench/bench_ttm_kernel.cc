@@ -5,9 +5,13 @@
  * technology rescale, and TtmModel rebuild) versus the compiled SoA
  * batch path (EvalPath::kBatch — precomputed node constants, Eq. 1-7
  * over contiguous lanes, zero per-sample allocation), at batch sizes
- * 1 / 64 / 4096 / 65536. Verifies the two paths agree bitwise at every
- * size while timing them, and writes bench_out/BENCH_ttm_kernel.json
- * (with the ttm.batch.* metrics block) for the CI artifact trail.
+ * 1 / 64 / 4096 / 65536. Two more rows time the kernels that batch
+ * through the point driver's chunk fill: the Saltelli rows of
+ * ttmSensitivity (gathered into ttmBatch columns) and
+ * CasModel::capacitySweep (the compiled sweep kernel). Verifies the
+ * two paths agree bitwise on every row while timing them, exits 1 on
+ * a mismatch, and writes bench_out/BENCH_ttm_kernel.json (with the
+ * ttm.batch.* metrics block) for the CI artifact trail.
  * docs/PERFORMANCE.md explains how to read the output.
  */
 
@@ -19,6 +23,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "core/cas.hh"
 #include "core/reference_designs.hh"
 #include "core/uncertainty.hh"
 #include "support/metrics.hh"
@@ -75,6 +80,61 @@ struct SizeRow
     }
 };
 
+/** One scalar-vs-batch row of a point-driver kernel. */
+struct KernelRow
+{
+    const char* kernel = "";
+    std::size_t points = 0;
+    double scalar_ns_per_point = 0.0;
+    double batch_ns_per_point = 0.0;
+    bool bitwise_identical = false;
+};
+
+/** Time @p run on both paths; @p run(path) returns a comparable result. */
+template <typename Run>
+KernelRow
+kernelRow(const char* kernel, std::size_t points, Run&& run)
+{
+    KernelRow row;
+    row.kernel = kernel;
+    row.points = points;
+    row.bitwise_identical =
+        run(EvalPath::kScalar) == run(EvalPath::kBatch);
+    const double scalar_ms = timeMs([&] { run(EvalPath::kScalar); });
+    const double batch_ms = timeMs([&] { run(EvalPath::kBatch); });
+    row.scalar_ns_per_point = scalar_ms * 1e6 / static_cast<double>(points);
+    row.batch_ns_per_point = batch_ms * 1e6 / static_cast<double>(points);
+    std::printf("%-15s %7zu %16.1f %16.1f %9.2fx%s\n", kernel, points,
+                row.scalar_ns_per_point, row.batch_ns_per_point,
+                row.scalar_ns_per_point / row.batch_ns_per_point,
+                row.bitwise_identical ? "" : "  [MISMATCH]");
+    return row;
+}
+
+/** A Sobol result as a flat vector (== is then bitwise per value). */
+std::vector<double>
+flatten(const SobolResult& result)
+{
+    std::vector<double> values{result.output_mean, result.output_variance};
+    values.insert(values.end(), result.first_order.begin(),
+                  result.first_order.end());
+    values.insert(values.end(), result.total_effect.begin(),
+                  result.total_effect.end());
+    return values;
+}
+
+/** A sweep as a flat (TTM, CAS) vector. */
+std::vector<double>
+flatten(const std::vector<CasPoint>& sweep)
+{
+    std::vector<double> values;
+    for (const CasPoint& point : sweep) {
+        values.push_back(point.ttm.value());
+        values.push_back(point.cas);
+    }
+    return values;
+}
+
 } // namespace
 
 int
@@ -126,6 +186,31 @@ main()
                     row.bitwise_identical ? "" : "  [MISMATCH]");
     }
 
+    // Point-driver kernels with a chunk fill: Sobol's (k + 2) * N
+    // Saltelli rows and the capacity sweep's grid.
+    std::cout << "\nkernel           points   scalar ns/point"
+                 "   batch ns/point    speedup\n";
+    constexpr std::size_t kSobolBase = 256;
+    constexpr std::size_t kGrid = 512;
+    std::vector<double> fractions;
+    for (std::size_t i = 0; i < kGrid; ++i)
+        fractions.push_back(0.2 + 0.8 * static_cast<double>(i + 1) / kGrid);
+    const std::vector<KernelRow> kernel_rows{
+        kernelRow("ttmSensitivity", (6 + 2) * kSobolBase,
+                  [&](EvalPath path) {
+                      return flatten(analysis.ttmSensitivity(
+                          a11, n_chips, {}, mcOptions(kSobolBase, path)));
+                  }),
+        kernelRow("capacitySweep", kGrid, [&](EvalPath path) {
+            CasModel::Options options;
+            options.eval_path = path;
+            const CasModel cas(
+                TtmModel(defaultTechnologyDb(), bench::a11ModelOptions()),
+                options);
+            return flatten(cas.capacitySweep(a11, n_chips, fractions));
+        }),
+    };
+
     std::ostringstream json;
     json << "{\n  \"design\": \"a11-7nm\",\n  \"kernel\": \"sampleTtm\""
          << ",\n  \"threads\": 1,\n  \"sizes\": [\n";
@@ -141,6 +226,17 @@ main()
              << (row.bitwise_identical ? "true" : "false") << "}"
              << (i + 1 < rows.size() ? "," : "") << "\n";
     }
+    json << "  ],\n  \"kernels\": [\n";
+    for (std::size_t i = 0; i < kernel_rows.size(); ++i) {
+        const KernelRow& row = kernel_rows[i];
+        json << "    {\"kernel\": \"" << row.kernel
+             << "\", \"points\": " << row.points
+             << ", \"scalar_ns_per_point\": " << row.scalar_ns_per_point
+             << ", \"batch_ns_per_point\": " << row.batch_ns_per_point
+             << ", \"bitwise_identical\": "
+             << (row.bitwise_identical ? "true" : "false") << "}"
+             << (i + 1 < kernel_rows.size() ? "," : "") << "\n";
+    }
     json << "  ]\n}";
     bench::emitBenchJson("BENCH_ttm_kernel.json", json.str());
     obs::setMetricsEnabled(false);
@@ -150,6 +246,12 @@ main()
         if (!row.bitwise_identical) {
             std::cerr << "batch/scalar mismatch at N=" << row.samples
                       << "\n";
+            return 1;
+        }
+    }
+    for (const KernelRow& row : kernel_rows) {
+        if (!row.bitwise_identical) {
+            std::cerr << "batch/scalar mismatch in " << row.kernel << "\n";
             return 1;
         }
     }

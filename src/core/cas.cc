@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <optional>
+#include <string>
 
 #include "support/error.hh"
 #include "support/mathutil.hh"
@@ -54,7 +55,7 @@ CasModel::rawCas(const ChipDesign& design, double n_chips,
     for (const std::string& process : design.processNodes())
         slope_sum += std::fabs(dTtmDMu(design, n_chips, market, process));
     finiteOr(slope_sum, DiagCode::NonFiniteCas,
-             "CAS slope sum of design '" + design.name + "'");
+             [&] { return "CAS slope sum of design '" + design.name + "'"; });
     TTMCAS_REQUIRE(slope_sum > 0.0,
                    "TTM of design '" + design.name +
                        "' is insensitive to every node's production rate; "
@@ -74,55 +75,68 @@ CasModel::capacitySweep(const ChipDesign& design, double n_chips,
                         const std::vector<double>& fractions,
                         const MarketConditions& base) const
 {
+    BatchControl control;
+    control.parallel = ParallelConfig::serial();
+    return sweepPoints(design, n_chips, fractions, base, control).values;
+}
+
+PointBatch<CasPoint>
+CasModel::sweepPoints(const ChipDesign& design, double n_chips,
+                      const std::vector<double>& fractions,
+                      const MarketConditions& base,
+                      const BatchControl& control) const
+{
+    for (double fraction : fractions) {
+        TTMCAS_REQUIRE(fraction > 0.0,
+                       "capacity fraction must be positive");
+    }
     // The sweep re-evaluates the same design at every fraction, so the
     // compiled kernel's one-time precompute amortizes across the whole
-    // sweep: only the fab phase depends on the capacity factors. Any
-    // point the kernel cannot certify re-runs the scalar chain, which
-    // produces the identical value or the identical diagnostic.
+    // sweep: only the fab phase depends on the capacity factors.
     std::optional<CompiledDesign> compiled;
     if (_options.eval_path == EvalPath::kBatch)
         compiled = CompiledDesign::tryCompile(design, _model.technology(),
                                               _model.options(), base,
                                               n_chips);
-    std::vector<double> capacity_factors;
-    if (compiled.has_value())
-        capacity_factors.resize(compiled->processCount());
-    // Multiplying by 1.0 is a bitwise no-op, so the all-ones factor
-    // vector makes the kernel compute exactly the unperturbed model.
-    const CompiledDesign::Factors nominal{1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
 
-    std::vector<CasPoint> points;
-    points.reserve(fractions.size());
-    for (double fraction : fractions) {
-        TTMCAS_REQUIRE(fraction > 0.0,
-                       "capacity fraction must be positive");
-
-        CasPoint point;
-        point.capacity_fraction = fraction;
-        if (compiled.has_value()) {
-            capacity_factors.assign(capacity_factors.size(), fraction);
-            double ttm_value = 0.0;
-            double cas_value = 0.0;
-            if (compiled->ttmOneAt(nominal,
-                                   capacity_factors.data(), &ttm_value) &&
-                compiled->casOne(nominal, _options.derivative_rel_step,
-                                 _options.normalization,
-                                 capacity_factors.data(), &cas_value)) {
-                point.ttm = Weeks(ttm_value);
-                point.cas = cas_value;
-                points.push_back(point);
-                continue;
-            }
-        }
-
+    PointKernel<CasPoint> points;
+    points.name = "capacity_sweep";
+    points.count = fractions.size();
+    points.width = 2;
+    points.point = [&](std::size_t i) {
         MarketConditions market = base;
         for (const std::string& process : design.processNodes())
-            market.setCapacityFactor(process, fraction);
+            market.setCapacityFactor(process, fractions[i]);
+        CasPoint point;
+        point.capacity_fraction = fractions[i];
         point.ttm = _model.evaluate(design, n_chips, market).total();
         point.cas = cas(design, n_chips, market);
-        points.push_back(point);
+        return point;
+    };
+    if (compiled.has_value()) {
+        points.chunk = [&](std::size_t b, std::size_t e, CasPoint* out,
+                           unsigned char* ok) {
+            thread_local std::vector<double> ttm;
+            thread_local std::vector<double> cas_values;
+            ttm.resize(e - b);
+            cas_values.resize(e - b);
+            compiled->sweepBatch(fractions.data() + b, e - b,
+                                 _options.derivative_rel_step,
+                                 _options.normalization, ttm.data(),
+                                 cas_values.data(), ok);
+            for (std::size_t j = 0; j < e - b; ++j)
+                out[j] = CasPoint{fractions[b + j], Weeks(ttm[j]),
+                                  cas_values[j]};
+        };
     }
-    return points;
+    points.save = [](const CasPoint& point, double* slots) {
+        slots[0] = point.ttm.value();
+        slots[1] = point.cas;
+    };
+    points.restore = [&](std::size_t i, const double* slots) {
+        return CasPoint{fractions[i], Weeks(slots[0]), slots[1]};
+    };
+    return runPoints(control, points);
 }
 
 } // namespace ttmcas

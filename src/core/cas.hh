@@ -25,6 +25,7 @@
 #include "core/market.hh"
 #include "core/ttm_batch.hh"
 #include "core/ttm_model.hh"
+#include "stats/batch_driver.hh"
 
 namespace ttmcas {
 
@@ -50,7 +51,7 @@ class CasModel
         /** Divisor applied to raw CAS (see kCasNormalization). */
         double normalization = kCasNormalization;
         /**
-         * Engine for capacitySweep: the compiled batch kernels
+         * Engine for the capacity sweep: the compiled batch kernels
          * (default) or the legacy scalar oracle. Results are bitwise
          * identical either way (ctest -L kernel enforces it); kScalar
          * exists for oracle comparison and debugging.
@@ -86,11 +87,30 @@ class CasModel
      * Sweep global production capacity over @p fractions (applied to
      * *all* nodes the design uses, like the paper's x-axes) and report
      * TTM and CAS at each point. @p base supplies queue conditions.
+     * Serial, and the lowest-index failure propagates: sweepPoints()
+     * under a default BatchControl.
      */
     std::vector<CasPoint>
     capacitySweep(const ChipDesign& design, double n_chips,
                   const std::vector<double>& fractions,
                   const MarketConditions& base = {}) const;
+
+    /**
+     * The capacity sweep as a point-driver run under @p control
+     * (threads, failure policy, fault injection, cancel, checkpoint):
+     * point i is TTM and CAS with every node of the design at
+     * capacity factor fractions[i]. Points run through the compiled
+     * sweep kernel in chunks; a point it cannot certify re-runs the
+     * scalar chain, which gives the identical value or diagnostic.
+     * The kernel is named "capacity_sweep" and a checkpoint binds
+     * seed 0 with two slots (TTM, CAS) per point. Every fraction must
+     * be positive.
+     */
+    PointBatch<CasPoint>
+    sweepPoints(const ChipDesign& design, double n_chips,
+                const std::vector<double>& fractions,
+                const MarketConditions& base,
+                const BatchControl& control) const;
 
   private:
     TtmModel _model;

@@ -31,31 +31,28 @@ Die::validate() const
 std::vector<std::string>
 Die::violations() const
 {
+    // Every check runs, but a message is built only for a failed one:
+    // this runs on every model evaluation, where all of them pass.
     std::vector<std::string> problems;
-    const auto check = [&](bool ok, const std::string& message) {
+    const auto check = [&](bool ok, const char* what) {
         if (!ok)
-            problems.push_back(message);
+            problems.push_back("die '" + name + "': " + what);
     };
-    check(!name.empty(), "die needs a name");
-    check(!process.empty(), "die '" + name + "' needs a process node");
-    check(total_transistors > 0.0,
-          "die '" + name + "': total transistors must be positive");
-    check(unique_transistors >= 0.0,
-          "die '" + name + "': unique transistors must be >= 0");
+    if (name.empty())
+        problems.push_back("die needs a name");
+    if (process.empty())
+        problems.push_back("die '" + name + "' needs a process node");
+    check(total_transistors > 0.0, "total transistors must be positive");
+    check(unique_transistors >= 0.0, "unique transistors must be >= 0");
     check(unique_transistors <= total_transistors,
-          "die '" + name + "': unique transistors cannot exceed "
-          "total transistors");
-    check(count_per_package > 0.0,
-          "die '" + name + "': count per package must be positive");
-    if (area_override.has_value()) {
-        check(area_override->value() > 0.0,
-              "die '" + name + "': area override must be positive");
-    }
-    check(min_area.value() >= 0.0,
-          "die '" + name + "': minimum area must be >= 0");
+          "unique transistors cannot exceed total transistors");
+    check(count_per_package > 0.0, "count per package must be positive");
+    if (area_override.has_value())
+        check(area_override->value() > 0.0, "area override must be positive");
+    check(min_area.value() >= 0.0, "minimum area must be >= 0");
     if (yield_override.has_value()) {
         check(*yield_override > 0.0 && *yield_override <= 1.0,
-              "die '" + name + "': yield override must be in (0, 1]");
+              "yield override must be in (0, 1]");
     }
     check(std::isfinite(total_transistors) &&
               std::isfinite(unique_transistors) &&
@@ -63,7 +60,7 @@ Die::violations() const
               std::isfinite(min_area.value()) &&
               (!area_override.has_value() ||
                std::isfinite(area_override->value())),
-          "die '" + name + "': parameters must be finite");
+          "parameters must be finite");
     return problems;
 }
 
@@ -126,20 +123,23 @@ ChipDesign::validateAgainst(const TechnologyDb& db) const
 std::vector<std::string>
 ChipDesign::violations() const
 {
+    // As in Die::violations: messages only for failed checks.
     std::vector<std::string> problems;
-    const auto check = [&](bool ok, const std::string& message) {
+    const auto check = [&](bool ok, const char* what) {
         if (!ok)
-            problems.push_back(message);
+            problems.push_back("chip design '" + name + "': " + what);
     };
-    check(!name.empty(), "chip design needs a name");
-    check(!dies.empty(), "chip design '" + name + "' needs at least one die");
-    check(design_time.value() >= 0.0,
-          "chip design '" + name + "': design time must be >= 0");
-    check(std::isfinite(design_time.value()),
-          "chip design '" + name + "': design time must be finite");
+    if (name.empty())
+        problems.push_back("chip design needs a name");
+    if (dies.empty()) {
+        problems.push_back("chip design '" + name +
+                           "' needs at least one die");
+    }
+    check(design_time.value() >= 0.0, "design time must be >= 0");
+    check(std::isfinite(design_time.value()), "design time must be finite");
     for (const auto& die : dies) {
-        for (const std::string& problem : die.violations())
-            problems.push_back(problem);
+        for (std::string& problem : die.violations())
+            problems.push_back(std::move(problem));
     }
     return problems;
 }

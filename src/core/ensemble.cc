@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <set>
 #include <utility>
 
 #include "core/cas.hh"
+#include "core/ttm_batch.hh"
 #include "stats/batch_driver.hh"
 #include "stats/rng.hh"
 #include "stats/summary.hh"
@@ -55,10 +57,11 @@ distributionOf(const std::vector<double>& samples, Rng& bootstrap_rng,
     std::vector<double> means;
     means.reserve(resamples);
     const std::size_t n = samples.size();
+    const UniformIntSampler pick(n);
     for (std::size_t b = 0; b < resamples; ++b) {
         double sum = 0.0;
         for (std::size_t i = 0; i < n; ++i)
-            sum += samples[bootstrap_rng.uniformInt(n)];
+            sum += samples[pick(bootstrap_rng)];
         means.push_back(sum / static_cast<double>(n));
     }
     const Interval interval =
@@ -221,6 +224,14 @@ EnsembleRunner::run(const ChipDesign& design, double n_chips,
     const TimelineTtmModel timeline_model(
         TtmModel(_db, _model_options));
     const CasModel cas_model(TtmModel(_db, _model_options));
+    // Path CAS runs on the compiled kernel at the path's capacity
+    // factors; the scalar CasModel is the fallback of a path the
+    // kernel cannot certify and gives the identical value or error.
+    const std::optional<CompiledDesign> compiled =
+        CompiledDesign::tryCompile(design, _db, _model_options,
+                                   base_market, n_chips);
+    const std::vector<std::string> compiled_order = design.processNodes();
+    const CasModel::Options cas_options;
     std::map<std::string, double> queue_weeks;
     for (const auto& [node, weeks] : base_market.queueWeeksByNode())
         queue_weeks.emplace(node, weeks.value());
@@ -250,9 +261,20 @@ EnsembleRunner::run(const ChipDesign& design, double n_chips,
                 process, base_market.capacityFactor(process) *
                              it->second.meanCapacity());
         }
-        value.cas =
-            finiteOr(cas_model.cas(design, n_chips, averaged),
-                     DiagCode::NonFiniteCas, "ensemble CAS");
+        double cas = 0.0;
+        bool compiled_ok = false;
+        if (compiled.has_value()) {
+            thread_local std::vector<double> capacity_factors;
+            capacity_factors.clear();
+            for (const std::string& process : compiled_order)
+                capacity_factors.push_back(averaged.capacityFactor(process));
+            compiled_ok = compiled->casOne(
+                CompiledDesign::kNominal, cas_options.derivative_rel_step,
+                cas_options.normalization, capacity_factors.data(), &cas);
+        }
+        if (!compiled_ok)
+            cas = cas_model.cas(design, n_chips, averaged);
+        value.cas = finiteOr(cas, DiagCode::NonFiniteCas, "ensemble CAS");
         return value;
     };
 

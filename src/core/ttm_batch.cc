@@ -558,22 +558,6 @@ CompiledDesign::ttmOne(const Factors& factors, double* out) const
 }
 
 bool
-CompiledDesign::ttmOneAt(const Factors& factors,
-                         const double* capacity_factors, double* out) const
-{
-    const std::array<const double*, 6> columns{
-        &factors[0], &factors[1], &factors[2],
-        &factors[3], &factors[4], &factors[5]};
-    Workspace& ws = workspace();
-    diePhase(columns, 1, ws);
-    unsigned char ok = 0;
-    fabPhase(columns, 1, ws, capacity_factors, out, &ok);
-    if (ok != 0)
-        evaluationsCounter().increment();
-    return ok != 0;
-}
-
-bool
 CompiledDesign::casOne(const Factors& factors, double derivative_rel_step,
                        double normalization,
                        const double* capacity_factors, double* out) const
@@ -585,18 +569,25 @@ CompiledDesign::casOne(const Factors& factors, double derivative_rel_step,
     diePhase(columns, 1, ws);
     if (ws.ok[0] == 0)
         return false;
-
-    // The die phase does not depend on capacity factors, so only the
-    // fab phase re-runs per perturbation — each perturbed total is
-    // still bitwise equal to a full scalar evaluate.
-    const std::size_t processes = _nodes.size();
-    for (std::size_t p = 0; p < processes; ++p) {
+    for (std::size_t p = 0; p < _nodes.size(); ++p) {
         ws.caps[p] = capacity_factors != nullptr
                          ? capacity_factors[p]
                          : _nodes[p].capacity_factor;
     }
+    return casAfterDiePhase(columns, ws, derivative_rel_step,
+                            normalization, out);
+}
 
-    const double f_mu = factors[kMuW];
+bool
+CompiledDesign::casAfterDiePhase(const std::array<const double*, 6>& columns,
+                                 Workspace& ws, double derivative_rel_step,
+                                 double normalization, double* out) const
+{
+    // The die phase does not depend on capacity factors, so only the
+    // fab phase re-runs per perturbation — each perturbed total is
+    // still bitwise equal to a full scalar evaluate.
+    const std::size_t processes = _nodes.size();
+    const double f_mu = columns[kMuW][0];
     double slope_sum = 0.0;
     std::uint64_t evaluations = 0;
     for (std::size_t p = 0; p < processes; ++p) {
@@ -645,6 +636,38 @@ CompiledDesign::casOne(const Factors& factors, double derivative_rel_step,
     *out = (1.0 / slope_sum) / normalization;
     evaluationsCounter().add(evaluations);
     return true;
+}
+
+void
+CompiledDesign::sweepBatch(const double* fractions, std::size_t n,
+                           double derivative_rel_step, double normalization,
+                           double* ttm_out, double* cas_out,
+                           unsigned char* ok) const
+{
+    if (n == 0)
+        return;
+    const std::array<const double*, 6> columns{
+        &kNominal[0], &kNominal[1], &kNominal[2],
+        &kNominal[3], &kNominal[4], &kNominal[5]};
+    Workspace& ws = workspace();
+    // Every point shares the nominal factors, so one die phase serves
+    // the whole call; each point re-runs only its fab phases, which is
+    // what ttmBatch and casOne compute after their own die phase.
+    diePhase(columns, 1, ws);
+    const bool die_ok = ws.ok[0] != 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        ok[i] = 0;
+        if (!die_ok)
+            continue;
+        ws.caps.assign(_nodes.size(), fractions[i]);
+        unsigned char lane = 0;
+        fabPhase(columns, 1, ws, ws.caps.data(), &ttm_out[i], &lane);
+        if (lane == 0)
+            continue;
+        evaluationsCounter().increment();
+        ok[i] = static_cast<unsigned char>(casAfterDiePhase(
+            columns, ws, derivative_rel_step, normalization, &cas_out[i]));
+    }
 }
 
 void

@@ -94,6 +94,13 @@ class CompiledDesign
     using Factors = std::array<double, 6>;
 
     /**
+     * Every Eq. 1-7 input at its base value. Multiplying by 1.0 is a
+     * bitwise no-op, so the kernels compute exactly the unperturbed
+     * scalar model at these factors.
+     */
+    static constexpr Factors kNominal{1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
+
+    /**
      * Compile, or return nullopt when any static precondition of the
      * fast path fails (empty db, invalid base design, unknown process,
      * n_chips <= 0, non-positive team size, missing/custom yield
@@ -131,28 +138,35 @@ class CompiledDesign
     bool ttmOne(const Factors& factors, double* out) const;
 
     /**
-     * Single-sample TTM with the baked market capacity factors
-     * replaced by @p capacity_factors (length processCount(), indexed
-     * in processNodes order) — the hook capacitySweep and the CAS
-     * derivative use. Null restores the baked factors.
-     */
-    bool ttmOneAt(const Factors& factors,
-                  const double* capacity_factors, double* out) const;
-
-    /**
      * Single-sample normalized CAS (Eq. 8): central-difference TTM
      * derivative against each used node's effective wafer rate, exactly
      * replicating CasModel::cas over the scaled model. The die-phase
      * work (areas, yields, wafer counts, tapeout/packaging sums) is
      * factor-only and computed once; only the fab phase is re-run per
      * perturbation, which keeps each perturbed evaluation bitwise
-     * equal to a full scalar evaluate. @p capacity_factors as in
-     * ttmOneAt. Returns false (caller falls back) when any scalar
-     * REQUIRE would fire.
+     * equal to a full scalar evaluate. @p capacity_factors (length
+     * processCount(), indexed in processNodes order) replaces the
+     * baked market capacity factors; null keeps them. Returns false
+     * (caller falls back) when any scalar REQUIRE would fire.
      */
     bool casOne(const Factors& factors, double derivative_rel_step,
                 double normalization, const double* capacity_factors,
                 double* out) const;
+
+    /**
+     * Capacity-sweep kernel at the nominal (all-ones) factors: for
+     * each of the @p n @p fractions, ttm_out[i] and cas_out[i] receive
+     * the TTM total and the normalized CAS with every process's
+     * capacity factor at fractions[i], bitwise equal to the scalar
+     * TtmModel::evaluate and CasModel::cas under that market. The
+     * factor-only die phase runs once per call. ok[i] behaves as in
+     * ttmBatch: a cleared point must be re-run through the scalar
+     * chain.
+     */
+    void sweepBatch(const double* fractions, std::size_t n,
+                    double derivative_rel_step, double normalization,
+                    double* ttm_out, double* cas_out,
+                    unsigned char* ok) const;
 
     /**
      * Batch normalized CAS (Eq. 8) over @p n factor vectors given as
@@ -166,7 +180,7 @@ class CompiledDesign
      * identical to casOne's — and therefore to the scalar path
      * (ctest -L kernel pins all three). ok/out behave as in ttmBatch:
      * a cleared lane must be re-run through the scalar chain.
-     * @p capacity_factors as in ttmOneAt.
+     * @p capacity_factors as in casOne.
      */
     void casBatch(const std::array<const double*, 6>& factors,
                   std::size_t n, double derivative_rel_step,
@@ -244,6 +258,15 @@ class CompiledDesign
                   std::size_t n, Workspace& ws,
                   const double* capacity_factors, double* out,
                   unsigned char* ok) const;
+
+    /**
+     * casOne after its die phase: @p columns hold one factor vector,
+     * the workspace holds its die phase and, in ws.caps, the
+     * per-process capacity factors (restored on a true return).
+     */
+    bool casAfterDiePhase(const std::array<const double*, 6>& columns,
+                          Workspace& ws, double derivative_rel_step,
+                          double normalization, double* out) const;
 
     /**
      * fabPhase with one process's capacity factor varying per lane:

@@ -224,7 +224,7 @@ TtmModel::evaluate(const ChipDesign& design, double n_chips,
     // Boundary guard: a finite, valid input set must never leak a NaN
     // or infinite schedule out of the model.
     finiteOr(result.total().value(), DiagCode::NonFiniteTtm,
-             "TTM of design '" + design.name + "'");
+             [&] { return "TTM of design '" + design.name + "'"; });
 
     return result;
 }

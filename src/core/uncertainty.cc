@@ -139,6 +139,28 @@ drawFactors(Rng& rng, double band)
     return factors;
 }
 
+/**
+ * The factors of @p n sample streams as six SoA columns (thread-local
+ * storage, valid until the calling thread's next call): the chunk
+ * input of the compiled kernels, drawn exactly as drawFactors draws
+ * them for the scalar chain.
+ */
+std::array<const double*, 6>
+factorColumns(const Rng* streams, std::size_t n, double band)
+{
+    thread_local std::array<std::vector<double>, 6> columns;
+    for (auto& column : columns)
+        column.resize(n);
+    for (std::size_t j = 0; j < n; ++j) {
+        Rng stream = streams[j];
+        const InputFactors factors = drawFactors(stream, band);
+        for (std::size_t k = 0; k < kUncertainInputCount; ++k)
+            columns[k][j] = factors[k];
+    }
+    return {columns[0].data(), columns[1].data(), columns[2].data(),
+            columns[3].data(), columns[4].data(), columns[5].data()};
+}
+
 /** One sample from a copy of its stream (a pure function of it). */
 using SampleFn = std::function<double(Rng&)>;
 
@@ -198,43 +220,22 @@ UncertaintyAnalysis::sampleTtm(const ChipDesign& design, double n_chips,
                                const MarketConditions& market,
                                const Options& options) const
 {
+    // The exact scalar chain: the whole kernel when the design does
+    // not compile, else the re-run of every lane the SoA kernel flags.
+    const auto sample = [&](Rng& rng) {
+        const InputFactors factors = drawFactors(rng, options.band);
+        return ttmWithFactors(design, n_chips, market, factors).value();
+    };
     std::optional<CompiledDesign> compiled;
     if (options.eval_path == EvalPath::kBatch)
         compiled = CompiledDesign::tryCompile(design, _db, _model_options,
                                               market, n_chips);
-    if (!compiled.has_value()) {
-        return drawSamples(options, "sampleTtm", [&](Rng& rng) {
-            const InputFactors factors = drawFactors(rng, options.band);
-            return ttmWithFactors(design, n_chips, market, factors).value();
-        });
-    }
-
-    // One sample through the compiled kernel, falling back to the
-    // exact scalar chain when it flags the sample; whole chunks go
-    // through the SoA kernel.
-    const CompiledDesign& fast = *compiled;
-    const auto sample = [&](Rng& rng) {
-        const InputFactors factors = drawFactors(rng, options.band);
-        double value = 0.0;
-        if (fast.ttmOne(factors, &value))
-            return value;
-        return ttmWithFactors(design, n_chips, market, factors).value();
-    };
+    if (!compiled.has_value())
+        return drawSamples(options, "sampleTtm", sample);
     const auto chunk = [&](const Rng* streams, std::size_t n, double* out,
                            unsigned char* ok) {
-        thread_local std::array<std::vector<double>, 6> columns;
-        for (auto& column : columns)
-            column.resize(n);
-        for (std::size_t j = 0; j < n; ++j) {
-            Rng stream = streams[j];
-            const InputFactors factors = drawFactors(stream, options.band);
-            for (std::size_t k = 0; k < kUncertainInputCount; ++k)
-                columns[k][j] = factors[k];
-        }
-        const std::array<const double*, 6> pointers{
-            columns[0].data(), columns[1].data(), columns[2].data(),
-            columns[3].data(), columns[4].data(), columns[5].data()};
-        fast.ttmBatch(pointers, n, out, ok);
+        compiled->ttmBatch(factorColumns(streams, n, options.band), n, out,
+                           ok);
     };
     return drawSamples(options, "sampleTtm", sample, chunk);
 }
@@ -244,31 +245,26 @@ UncertaintyAnalysis::sampleCas(const ChipDesign& design, double n_chips,
                                const MarketConditions& market,
                                const Options& options) const
 {
+    // As in sampleTtm; casWithFactors uses CasModel's default options,
+    // and so does the batch kernel.
+    const auto sample = [&](Rng& rng) {
+        const InputFactors factors = drawFactors(rng, options.band);
+        return casWithFactors(design, n_chips, market, factors);
+    };
     std::optional<CompiledDesign> compiled;
     if (options.eval_path == EvalPath::kBatch)
         compiled = CompiledDesign::tryCompile(design, _db, _model_options,
                                               market, n_chips);
-    if (!compiled.has_value()) {
-        return drawSamples(options, "sampleCas", [&](Rng& rng) {
-            const InputFactors factors = drawFactors(rng, options.band);
-            return casWithFactors(design, n_chips, market, factors);
-        });
-    }
-
-    // CAS is derivative-shaped (2 x P perturbed evaluations per
-    // sample), so the win comes from the compiled per-sample kernel:
-    // the die phase runs once and only the fab phase re-runs per
-    // perturbation. casWithFactors uses CasModel's default options.
+    if (!compiled.has_value())
+        return drawSamples(options, "sampleCas", sample);
     const CasModel::Options cas_options;
-    const CompiledDesign& fast = *compiled;
-    return drawSamples(options, "sampleCas", [&](Rng& rng) {
-        const InputFactors factors = drawFactors(rng, options.band);
-        double value = 0.0;
-        if (fast.casOne(factors, cas_options.derivative_rel_step,
-                        cas_options.normalization, nullptr, &value))
-            return value;
-        return casWithFactors(design, n_chips, market, factors);
-    });
+    const auto chunk = [&](const Rng* streams, std::size_t n, double* out,
+                           unsigned char* ok) {
+        compiled->casBatch(factorColumns(streams, n, options.band), n,
+                           cas_options.derivative_rel_step,
+                           cas_options.normalization, nullptr, out, ok);
+    };
+    return drawSamples(options, "sampleCas", sample, chunk);
 }
 
 std::vector<double>
@@ -360,34 +356,39 @@ UncertaintyAnalysis::ttmSensitivity(const ChipDesign& design, double n_chips,
             owned.back().get()});
     }
 
-    // Sobol evaluates the model one point at a time (the pick-and-
-    // freeze matrices are built upstream), so the win here is the
-    // compiled per-point kernel with scalar fallback per flagged lane.
-    std::optional<CompiledDesign> compiled;
-    if (options.eval_path == EvalPath::kBatch)
-        compiled = CompiledDesign::tryCompile(design, _db, _model_options,
-                                              market, n_chips);
+    // The scalar model is the fallback of every lane the compiled
+    // kernel flags; the driver's chunks of A/B/A_B^i rows go through
+    // ttmBatch as SoA columns.
     const auto model = [&](const std::vector<double>& point) {
         TTMCAS_INVARIANT(point.size() == kUncertainInputCount,
                          "sensitivity point has wrong arity");
         InputFactors factors;
         for (std::size_t i = 0; i < kUncertainInputCount; ++i)
             factors[i] = point[i];
-        if (compiled.has_value()) {
-            double value = 0.0;
-            if (compiled->ttmOne(factors, &value))
-                return value;
-        }
         return ttmWithFactors(design, n_chips, market, factors).value();
     };
 
-    // ttmWithFactors builds every model object locally, so the lambda
-    // satisfies sobolAnalyze's thread-safety contract.
+    // ttmWithFactors builds every model object locally and ttmBatch
+    // keeps its scratch per thread, so both satisfy sobolAnalyze's
+    // thread-safety contract.
     SobolOptions sobol_options;
     static_cast<BatchControl&>(sobol_options) = options;
     sobol_options.base_samples = options.samples;
     sobol_options.seed = options.seed;
-    return sobolAnalyze(inputs, model, sobol_options);
+    std::optional<CompiledDesign> compiled;
+    if (options.eval_path == EvalPath::kBatch)
+        compiled = CompiledDesign::tryCompile(design, _db, _model_options,
+                                              market, n_chips);
+    SobolBatchModel batch_model;
+    if (compiled.has_value()) {
+        batch_model = [&](const double* const* columns, std::size_t n,
+                          double* out, unsigned char* ok) {
+            compiled->ttmBatch({columns[0], columns[1], columns[2],
+                                columns[3], columns[4], columns[5]},
+                               n, out, ok);
+        };
+    }
+    return sobolAnalyze(inputs, model, sobol_options, nullptr, batch_model);
 }
 
 } // namespace ttmcas

@@ -22,7 +22,7 @@ double
 guardYield(double yield, const char* model)
 {
     return finiteOr(yield, DiagCode::NonFiniteYield,
-                    std::string(model) + " yield");
+                    [&] { return std::string(model) + " yield"; });
 }
 
 } // namespace

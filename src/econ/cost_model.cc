@@ -236,7 +236,7 @@ CostModel::evaluate(const ChipDesign& design, double n_chips) const
     // Boundary guard: valid inputs must never leak a NaN or infinite
     // cost out of the model.
     finiteOr(costs.total().value(), DiagCode::NonFiniteCost,
-             "cost of design '" + design.name + "'");
+             [&] { return "cost of design '" + design.name + "'"; });
 
     return costs;
 }
@@ -348,7 +348,9 @@ CostModel::evaluateChiplet(const ChipDesign& design, double n_chips,
                               static_cast<double>(spares) * types);
 
     finiteOr(costs.total().value(), DiagCode::NonFiniteCost,
-             "chiplet cost of design '" + design.name + "'");
+             [&] {
+                 return "chiplet cost of design '" + design.name + "'";
+             });
 
     return costs;
 }

@@ -14,10 +14,6 @@ namespace ttmcas {
 
 namespace {
 
-/** Nominal factor vector: every Eq. 1-7 input at its base value. */
-constexpr CompiledDesign::Factors kNominalFactors = {1.0, 1.0, 1.0,
-                                                    1.0, 1.0, 1.0};
-
 /** Per-candidate evaluation result (the three checkpointed values). */
 struct CandidateValue
 {
@@ -229,22 +225,26 @@ ChipletExplorer::run(const ChipDesign& base, double n_chips,
 
         double ttm = 0.0;
         if (!compiled.has_value() ||
-            !compiled->ttmOne(kNominalFactors, &ttm)) {
+            !compiled->ttmOne(CompiledDesign::kNominal, &ttm)) {
             ttm = model.evaluate(fab, volume, market).total().value();
         }
         value.ttm = finiteOr(ttm, DiagCode::NonFiniteTtm,
-                             "chiplet TTM of '" + fab.name + "'");
+                             [&] {
+                                 return "chiplet TTM of '" + fab.name + "'";
+                             });
 
         double cas = 0.0;
         if (!compiled.has_value() ||
-            !compiled->casOne(kNominalFactors,
+            !compiled->casOne(CompiledDesign::kNominal,
                               options.derivative_rel_step,
                               options.cas_normalization, nullptr,
                               &cas)) {
             cas = cas_model.cas(fab, volume, market);
         }
         value.cas = finiteOr(cas, DiagCode::NonFiniteCas,
-                             "chiplet CAS of '" + fab.name + "'");
+                             [&] {
+                                 return "chiplet CAS of '" + fab.name + "'";
+                             });
 
         ChipletCostParams cost_params = spec.cost;
         cost_params.spare_chiplets = candidate.spares;
@@ -262,9 +262,10 @@ ChipletExplorer::run(const ChipDesign& base, double n_chips,
             evaluateSource(candidate, candidate.node,
                            fraction * n_chips);
         if (fraction < 1.0) {
-            // SplitPlanner semantics: slowest pipeline binds TTM, the
-            // methodology pays both cost stacks, and Eq. 8 slope sums
-            // add across the two pipelines (harmonic CAS).
+            // The slowest pipeline binds TTM and the methodology pays
+            // both cost stacks, as in SplitPlanner. CAS differs: the
+            // Eq. 8 slope sums of the two pipelines add (harmonic
+            // CAS), where SplitPlanner counts only the binding one.
             const CandidateValue secondary =
                 evaluateSource(candidate, spec.secondary_node,
                                (1.0 - fraction) * n_chips);

@@ -22,12 +22,19 @@
  * redundancy model (they are fabricated and bonded, so they lengthen
  * fab/packaging too — redundancy couples into all three objectives),
  * and a `split_fraction` < 1 second-sources the remainder of the
- * volume on the spec's secondary node with SplitPlanner semantics:
+ * volume on the spec's secondary node:
  *
  *   TTM  = max(TTM_primary(f n), TTM_secondary((1-f) n))
  *   cost = cost_primary(f n) + cost_secondary((1-f) n)
  *   CAS  = (1/CAS_primary + 1/CAS_secondary)^(-1)
  *          (slope sums of Eq. 8 add across the two pipelines)
+ *
+ * TTM and cost combine as in SplitPlanner; CAS does not.
+ * SplitPlanner::cas differentiates the combined max(TTM_p, TTM_s), so
+ * only the binding pipeline's slope counts, while this harmonic rule
+ * differentiates each pipeline on its own and adds both slopes. For
+ * A11 at 1e7 chips on 7nm with 20% on 14nm, SplitPlanner::cas gives
+ * 217.53 and this rule 128.01 (test ChipletSplitCas).
  *
  * Candidates are independent, so the sweep runs through
  * support/threadpool bitwise-identically at any thread count, with

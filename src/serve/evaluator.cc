@@ -264,50 +264,13 @@ std::string
 Evaluator::evaluateSweep(const EvalRequest& request,
                          const BatchControl& control) const
 {
-    const TtmModel ttm_model(_db);
+    // One driver point per grid value: every node of the design at the
+    // grid's capacity factor (the paper's x-axes move all nodes at
+    // once), queue conditions from the request preserved.
     const CasModel cas_model{TtmModel(_db)};
-    FailureReport& report = *control.failure_report;
-
-    struct SweepPoint
-    {
-        double capacity = 0.0;
-        Outcome<CasPoint> outcome;
-    };
-    std::vector<SweepPoint> points;
-    points.reserve(request.grid.size());
-
-    for (std::size_t i = 0; i < request.grid.size(); ++i) {
-        const double factor = request.grid[i];
-        SweepPoint point;
-        point.capacity = factor;
-        if (control.cancel != nullptr && control.cancel->stopRequested()) {
-            point.outcome = Outcome<CasPoint>::failure(
-                control.cancel->stopDiagnostic(i, "capacity_sweep"));
-        } else {
-            // The sweep overrides *every* capacity factor with the
-            // grid value (the paper's x-axes move all nodes at once);
-            // queue conditions from the request are preserved.
-            MarketConditions market = request.market;
-            market.setGlobalCapacityFactor(factor);
-            for (const auto& [node, _] : request.market.capacityFactors())
-                market.setCapacityFactor(node, factor);
-            point.outcome = guardedPoint(i, [&] {
-                CasPoint value;
-                value.capacity_fraction = factor;
-                value.ttm = ttm_model
-                                .evaluate(request.design, request.n_chips,
-                                          market)
-                                .total();
-                value.cas = cas_model.cas(request.design, request.n_chips,
-                                          market);
-                return value;
-            });
-        }
-        report.addPoint();
-        if (!point.outcome.ok())
-            report.record(point.outcome.diagnostic());
-        points.push_back(std::move(point));
-    }
+    const PointBatch<CasPoint> batch = cas_model.sweepPoints(
+        request.design, request.n_chips, request.grid, request.market,
+        control);
 
     JsonWriter json;
     json.beginObject();
@@ -317,24 +280,30 @@ Evaluator::evaluateSweep(const EvalRequest& request,
                static_cast<std::uint64_t>(request.grid.size()));
     json.key("points");
     json.beginArray();
-    for (const SweepPoint& point : points) {
+    // Failures are sorted by point index, so one cursor pairs each
+    // failed point with its diagnostic.
+    auto failure = batch.failures.diagnostics.begin();
+    for (std::size_t i = 0; i < request.grid.size(); ++i) {
         json.beginObject();
-        json.field("capacity", point.capacity);
-        if (point.outcome.ok()) {
-            json.field("ttm_weeks", point.outcome.value().ttm.value());
-            json.field("cas", point.outcome.value().cas);
+        json.field("capacity", request.grid[i]);
+        if (batch.done(i)) {
+            json.field("ttm_weeks", batch.values[i].ttm.value());
+            json.field("cas", batch.values[i].cas);
         } else {
+            TTMCAS_INVARIANT(failure != batch.failures.diagnostics.end() &&
+                                 failure->point_index == i,
+                             "a sweep point failed without a diagnostic");
             json.key("error");
             json.beginObject();
-            json.field("code",
-                       diagCodeName(point.outcome.diagnostic().code));
-            json.field("message", point.outcome.diagnostic().message);
+            json.field("code", diagCodeName(failure->code));
+            json.field("message", failure->message);
             json.endObject();
+            ++failure;
         }
         json.endObject();
     }
     json.endArray();
-    writeFailures(json, report);
+    writeFailures(json, *control.failure_report);
     json.endObject();
     return json.str();
 }

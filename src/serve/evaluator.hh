@@ -83,9 +83,9 @@ class Evaluator
      * the stop). Under SkipAndRecord, model failures are isolated per
      * point and counted in the payload's "failures" object; under
      * Abort the lowest-index failure propagates as its exception.
-     * capacity_sweep loops its grid outside the point driver: it runs
-     * serially, records every point's error in its payload whatever
-     * the policy, and ignores resume_from and checkpoint.
+     * capacity_sweep runs through the point driver like every other
+     * kind (CasModel::sweepPoints); each failed or stopped grid point
+     * carries its own error object in the payload.
      */
     EvalOutcome evaluate(const EvalRequest& request,
                          BatchControl control) const;

@@ -469,10 +469,21 @@ parseRequestLine(const std::string& line, const ServeLimits& limits)
                                std::to_string(grid.asArray().size()) +
                                " points exceeds the limit of " +
                                std::to_string(limits.max_grid_points));
-                for (std::size_t i = 0; i < grid.asArray().size(); ++i)
-                    request.grid.push_back(positiveNumber(
-                        grid.asArray()[i],
-                        "grid[" + std::to_string(i) + "]"));
+                request.grid.reserve(grid.asArray().size());
+                for (std::size_t i = 0; i < grid.asArray().size(); ++i) {
+                    const JsonValue& item = grid.asArray()[i];
+                    // Name the element only when it is rejected: a
+                    // sweep grid holds hundreds of values.
+                    const bool positive =
+                        item.kind() == JsonValue::Kind::Number &&
+                        std::isfinite(item.asNumber()) &&
+                        item.asNumber() > 0.0;
+                    request.grid.push_back(
+                        positive ? item.asNumber()
+                                 : positiveNumber(item, "grid[" +
+                                                            std::to_string(i) +
+                                                            "]"));
+                }
             }
             if (doc.has("deadline_s")) {
                 request.deadline_s = nonNegativeNumber(doc.at("deadline_s"),

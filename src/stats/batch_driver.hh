@@ -6,12 +6,13 @@
  * The one point driver behind every batch kernel.
  *
  * Every batch kernel — Monte-Carlo sampling, Saltelli/Sobol and its
- * bootstrap, the cache sweep, the split planner, portfolio seeding,
- * scenario ensembles, chiplet sweeps — is a loop over points whose
- * value is a pure function of (inputs, seed, index). A kernel
- * describes that loop as a PointKernel: "evaluate point i", plus
- * optionally "fill chunk [b, e) into values and per-lane ok flags"
- * (a compiled SoA kernel). The driver owns everything else:
+ * bootstrap, the capacity sweep, the cache sweep, the split planner,
+ * portfolio seeding, scenario ensembles, chiplet sweeps — is a loop
+ * over points whose value is a pure function of (inputs, seed,
+ * index). A kernel describes that loop as a PointKernel: "evaluate
+ * point i", plus optionally "fill chunk [b, e) into values and
+ * per-lane ok flags" (a compiled SoA kernel). The driver owns
+ * everything else:
  *
  *  - checkpoint binding (requireMatches / bind), resume restore, and
  *    the record of every completed point;

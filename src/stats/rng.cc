@@ -19,12 +19,6 @@ splitmix64(std::uint64_t& state)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -36,22 +30,6 @@ Rng::Rng(std::uint64_t seed)
     // produce four zero outputs in a row, but guard against it anyway.
     if (_state[0] == 0 && _state[1] == 0 && _state[2] == 0 && _state[3] == 0)
         _state[0] = 1;
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(_state[1] * 5, 7) * 9;
-    const std::uint64_t t = _state[1] << 17;
-
-    _state[2] ^= _state[0];
-    _state[3] ^= _state[1];
-    _state[1] ^= _state[2];
-    _state[0] ^= _state[3];
-    _state[2] ^= t;
-    _state[3] = rotl(_state[3], 45);
-
-    return result;
 }
 
 double
@@ -71,14 +49,16 @@ Rng::uniform(double lo, double hi)
 std::uint64_t
 Rng::uniformInt(std::uint64_t bound)
 {
+    return UniformIntSampler(bound)(*this);
+}
+
+UniformIntSampler::UniformIntSampler(std::uint64_t bound)
+    : _bound(bound), _power_of_two((bound & (bound - 1)) == 0)
+{
     TTMCAS_REQUIRE(bound > 0, "uniformInt bound must be positive");
-    // Rejection sampling over the largest multiple of bound.
-    const std::uint64_t threshold = (~bound + 1) % bound; // 2^64 mod bound
-    for (;;) {
-        const std::uint64_t raw = next();
-        if (raw >= threshold)
-            return raw % bound;
-    }
+    // A power of two divides 2^64, so no draw is ever rejected.
+    if (!_power_of_two)
+        _threshold = (~bound + 1) % bound; // 2^64 mod bound
 }
 
 double

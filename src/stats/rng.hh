@@ -30,7 +30,21 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
     /** Next raw 64-bit output. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(_state[1] * 5, 7) * 9;
+        const std::uint64_t t = _state[1] << 17;
+
+        _state[2] ^= _state[0];
+        _state[3] ^= _state[1];
+        _state[1] ^= _state[2];
+        _state[0] ^= _state[3];
+        _state[2] ^= t;
+        _state[3] = rotl(_state[3], 45);
+
+        return result;
+    }
 
     /** UniformRandomBitGenerator interface (for std::shuffle etc.). */
     std::uint64_t operator()() { return next(); }
@@ -43,7 +57,11 @@ class Rng
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);
 
-    /** Uniform integer in [0, bound) without modulo bias. */
+    /**
+     * Uniform integer in [0, bound) without modulo bias. A loop that
+     * draws many values under one bound should use UniformIntSampler,
+     * which computes the rejection threshold once.
+     */
     std::uint64_t uniformInt(std::uint64_t bound);
 
     /** Standard normal deviate (Marsaglia polar method). */
@@ -61,9 +79,47 @@ class Rng
     Rng split();
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::array<std::uint64_t, 4> _state;
     bool _have_cached_normal = false;
     double _cached_normal = 0.0;
+};
+
+/**
+ * Rng::uniformInt with the bound fixed: the same draws, draw for draw,
+ * without recomputing the rejection threshold (a 64-bit division) on
+ * every call. A power-of-two bound needs no rejection and no division
+ * at all.
+ */
+class UniformIntSampler
+{
+  public:
+    /** A sampler of [0, @p bound); throws ModelError when bound is 0. */
+    explicit UniformIntSampler(std::uint64_t bound);
+
+    /** The next draw from @p rng. */
+    std::uint64_t
+    operator()(Rng& rng) const
+    {
+        if (_power_of_two)
+            return rng.next() & (_bound - 1);
+        // Rejection sampling over the largest multiple of bound.
+        for (;;) {
+            const std::uint64_t raw = rng.next();
+            if (raw >= _threshold)
+                return raw % _bound;
+        }
+    }
+
+  private:
+    std::uint64_t _bound;
+    std::uint64_t _threshold = 0; ///< 2^64 mod bound
+    bool _power_of_two = false;
 };
 
 } // namespace ttmcas

@@ -62,7 +62,8 @@ SobolResult::dominantInput() const
 SobolResult
 sobolAnalyze(const std::vector<SensitivityInput>& inputs,
              const std::function<double(const std::vector<double>&)>& model,
-             const SobolOptions& options, SobolRowData* rows)
+             const SobolOptions& options, SobolRowData* rows,
+             const SobolBatchModel& batch_model)
 {
     const obs::ScopedSpan span("sobol", "sobolAnalyze");
     static const obs::Counter evaluations("sobol.evaluations");
@@ -134,6 +135,31 @@ sobolAnalyze(const std::vector<SensitivityInput>& inputs,
         hybrid[block - 2] = mat_b[j][block - 2];
         return model(hybrid);
     };
+    if (batch_model) {
+        points.chunk = [&](std::size_t b, std::size_t e, double* out,
+                           unsigned char* ok) {
+            // Gather the chunk's rows into k SoA columns: a row comes
+            // from A or B, and A_B^i takes column i from B.
+            thread_local std::vector<double> soa;
+            thread_local std::vector<const double*> columns;
+            const std::size_t lanes = e - b;
+            soa.resize(k * lanes);
+            columns.resize(k);
+            for (std::size_t i = 0; i < k; ++i)
+                columns[i] = soa.data() + i * lanes;
+            for (std::size_t p = b; p < e; ++p) {
+                const std::size_t block = p / n;
+                const std::size_t j = p % n;
+                const std::vector<double>& row =
+                    block == 1 ? mat_b[j] : mat_a[j];
+                for (std::size_t i = 0; i < k; ++i)
+                    soa[i * lanes + (p - b)] = row[i];
+                if (block >= 2)
+                    soa[(block - 2) * lanes + (p - b)] = mat_b[j][block - 2];
+            }
+            batch_model(columns.data(), lanes, out, ok);
+        };
+    }
     const PointBatch<double> batch = runPoints(options, points);
 
     // A base row survives only when A, B, and all k hybrid evaluations
@@ -229,9 +255,10 @@ sobolBootstrapCi(const SobolRowData& rows,
     // stream — and therefore each replicate — is independent of how
     // the resample loop is chunked across threads.
     Rng rng(options.seed);
+    const UniformIntSampler pick(n);
     std::vector<std::size_t> picks(resamples * n);
     for (std::size_t j = 0; j < picks.size(); ++j)
-        picks[j] = static_cast<std::size_t>(rng.uniformInt(n));
+        picks[j] = static_cast<std::size_t>(pick(rng));
 
     // One bootstrap replicate: Jansen estimators over the resampled
     // rows. Writes S_i into first_out[i] and S_Ti into total_out[i].

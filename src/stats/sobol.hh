@@ -72,6 +72,16 @@ struct SobolOptions : BatchControl
     bool use_low_discrepancy = false;
 };
 
+/**
+ * Batch form of a Sobol model: evaluate @p n points given as k SoA
+ * columns (columns[i][j] is input i of point j) into out[0, n), with
+ * ok[j] = 1 for a lane that holds exactly what the scalar model
+ * returns. A lane left at 0 is re-run through the scalar model.
+ */
+using SobolBatchModel =
+    std::function<void(const double* const* columns, std::size_t n,
+                       double* out, unsigned char* ok)>;
+
 /** Result of a Sobol sensitivity analysis. */
 struct SobolResult
 {
@@ -114,12 +124,16 @@ struct SobolConfidence
  * @param rows when non-null, receives the row-level evaluations so
  *        sobolBootstrapCi can attach confidence intervals without
  *        re-running the model
+ * @param batch_model when set, each driver chunk of A, B and A_B^i
+ *        rows is gathered into SoA columns and evaluated by it in one
+ *        call; @p model stays the fallback of every lane it flags
  */
 SobolResult
 sobolAnalyze(const std::vector<SensitivityInput>& inputs,
              const std::function<double(const std::vector<double>&)>& model,
              const SobolOptions& options = {},
-             SobolRowData* rows = nullptr);
+             SobolRowData* rows = nullptr,
+             const SobolBatchModel& batch_model = {});
 
 /**
  * Percentile-bootstrap confidence intervals for the indices: base rows

@@ -1,5 +1,6 @@
 #include "support/json.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <utility>
@@ -37,21 +38,45 @@ jsonEscape(const std::string& text)
     return out;
 }
 
-std::string
-jsonNumber(double value)
+namespace {
+
+/** Append jsonNumber(@p value) to @p out without a temporary string. */
+void
+appendNumber(std::string& out, double value)
 {
-    if (!std::isfinite(value))
-        return "null";
+    if (!std::isfinite(value)) {
+        out += "null";
+        return;
+    }
+    char buf[32];
+    char* end = nullptr;
     // Round-trippable without decorating integers with ".000000".
     // Test the magnitude first: casting a double outside long long's
     // range is undefined behaviour.
     if (std::fabs(value) < 1e15 &&
         value == static_cast<double>(static_cast<long long>(value))) {
-        return std::to_string(static_cast<long long>(value));
+        end = std::to_chars(buf, buf + sizeof(buf),
+                            static_cast<long long>(value))
+                  .ptr;
+    } else {
+        // The standard defines general/precision 17 as printf's
+        // "%.17g" in the C locale, so this is the same text without
+        // the printf machinery or its locale dependence.
+        end = std::to_chars(buf, buf + sizeof(buf), value,
+                            std::chars_format::general, 17)
+                  .ptr;
     }
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
+    out.append(buf, end);
+}
+
+} // namespace
+
+std::string
+jsonNumber(double value)
+{
+    std::string out;
+    appendNumber(out, value);
+    return out;
 }
 
 void
@@ -63,7 +88,7 @@ JsonWriter::separate()
     }
     if (!_has_item.empty()) {
         if (_has_item.back())
-            _out << ',';
+            _out += ',';
         _has_item.back() = true;
     }
 }
@@ -72,7 +97,7 @@ void
 JsonWriter::beginObject()
 {
     separate();
-    _out << '{';
+    _out += '{';
     _has_item.push_back(false);
 }
 
@@ -81,14 +106,14 @@ JsonWriter::endObject()
 {
     TTMCAS_INVARIANT(!_has_item.empty(), "endObject without beginObject");
     _has_item.pop_back();
-    _out << '}';
+    _out += '}';
 }
 
 void
 JsonWriter::beginArray()
 {
     separate();
-    _out << '[';
+    _out += '[';
     _has_item.push_back(false);
 }
 
@@ -97,14 +122,16 @@ JsonWriter::endArray()
 {
     TTMCAS_INVARIANT(!_has_item.empty(), "endArray without beginArray");
     _has_item.pop_back();
-    _out << ']';
+    _out += ']';
 }
 
 void
 JsonWriter::key(const std::string& name)
 {
     separate();
-    _out << '"' << jsonEscape(name) << "\":";
+    _out += '"';
+    _out += jsonEscape(name);
+    _out += "\":";
     _pending_key = true;
 }
 
@@ -112,7 +139,9 @@ void
 JsonWriter::value(const std::string& text)
 {
     separate();
-    _out << '"' << jsonEscape(text) << '"';
+    _out += '"';
+    _out += jsonEscape(text);
+    _out += '"';
 }
 
 void
@@ -125,35 +154,36 @@ void
 JsonWriter::value(double number)
 {
     separate();
-    _out << jsonNumber(number);
+    appendNumber(_out, number);
 }
 
 void
 JsonWriter::value(std::uint64_t number)
 {
     separate();
-    _out << number;
+    char buf[24];
+    _out.append(buf, std::to_chars(buf, buf + sizeof(buf), number).ptr);
 }
 
 void
 JsonWriter::value(bool flag)
 {
     separate();
-    _out << (flag ? "true" : "false");
+    _out += flag ? "true" : "false";
 }
 
 void
 JsonWriter::null()
 {
     separate();
-    _out << "null";
+    _out += "null";
 }
 
 void
 JsonWriter::raw(const std::string& json)
 {
     separate();
-    _out << json;
+    _out += json;
 }
 
 void

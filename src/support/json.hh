@@ -98,12 +98,12 @@ class JsonWriter
     void field(const std::string& name, bool flag);
 
     /** The document written so far. */
-    std::string str() const { return _out.str(); }
+    std::string str() const { return _out; }
 
   private:
     void separate();
 
-    std::ostringstream _out;
+    std::string _out;
     /** One entry per open container: true = a value was already written. */
     std::vector<bool> _has_item;
     bool _pending_key = false;

@@ -59,16 +59,14 @@ NumericError::NumericError(Diagnostic diagnostic)
     : ModelError(diagnostic.describe()), _diagnostic(std::move(diagnostic))
 {}
 
-double
-finiteOr(double value, DiagCode code, const std::string& context,
-         std::source_location location)
+void
+throwNonFinite(double value, DiagCode code, std::string_view context,
+               std::source_location location)
 {
-    if (std::isfinite(value))
-        return value;
     Diagnostic diagnostic;
     diagnostic.code = code;
     diagnostic.message =
-        context + " produced a non-finite value (" +
+        std::string(context) + " produced a non-finite value (" +
         (std::isnan(value) ? "NaN" : value > 0.0 ? "+Inf" : "-Inf") + ")";
     diagnostic.file = location.file_name();
     diagnostic.line = static_cast<int>(location.line());

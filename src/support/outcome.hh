@@ -35,6 +35,8 @@
 #include <cstddef>
 #include <source_location>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -114,14 +116,36 @@ class NumericError : public ModelError
 };
 
 /**
+ * Throw the NumericError of a non-finite @p value: finiteOr's failure
+ * path, kept out of line so the guard inlines to one test.
+ */
+[[noreturn]] void throwNonFinite(double value, DiagCode code,
+                                 std::string_view context,
+                                 std::source_location location);
+
+/**
  * Guard a model output: returns @p value unchanged when finite, throws
  * NumericError tagged with @p code (and the call site) otherwise. Used
  * at the outputs of TTM, CAS, cost, and yield evaluation so NaN/Inf
  * become diagnostics instead of silent poison.
+ *
+ * @p context names the guarded value in the diagnostic: a string, or
+ * a callable returning one. A callable runs only when the guard
+ * fires, so a context that concatenates names costs nothing on the
+ * success path.
  */
-double finiteOr(double value, DiagCode code, const std::string& context,
-                std::source_location location =
-                    std::source_location::current());
+template <typename Context>
+double
+finiteOr(double value, DiagCode code, Context&& context,
+         std::source_location location = std::source_location::current())
+{
+    if (std::isfinite(value)) [[likely]]
+        return value;
+    if constexpr (std::is_invocable_v<Context>)
+        throwNonFinite(value, code, context(), location);
+    else
+        throwNonFinite(value, code, context, location);
+}
 
 /** What a batch kernel does when a point evaluation fails. */
 struct FailurePolicy

@@ -17,9 +17,13 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cas.hh"
 #include "core/design.hh"
+#include "core/reference_designs.hh"
+#include "econ/cost_model.hh"
 #include "opt/chiplet_explorer.hh"
 #include "opt/pareto.hh"
+#include "opt/split_optimizer.hh"
 #include "support/checkpoint.hh"
 #include "support/error.hh"
 #include "tech/default_dataset.hh"
@@ -257,6 +261,49 @@ TEST(ChipletPartitionDesign, SplitsBudgetWithOneTapeoutPerType)
     const ChipDesign clamped =
         ChipletExplorer::partitionDesign(dense, 4, "7nm");
     EXPECT_DOUBLE_EQ(clamped.dies[0].unique_transistors, 1.0e9);
+}
+
+/**
+ * The explorer's split CAS is not SplitPlanner::cas. The explorer adds
+ * the Eq. 8 slope sums of the two pipelines, each differentiated on
+ * its own (harmonic CAS). SplitPlanner differentiates the combined
+ * max(TTM_p, TTM_s), so only the binding pipeline's slope counts. For
+ * A11 on 7nm with 20% second-sourced on 14nm the two rules differ by
+ * a factor of 1.7; both values are pinned here.
+ */
+TEST(ChipletSplitCas, ExplorerRuleIsHarmonicNotSplitPlanner)
+{
+    const TechnologyDb db = defaultTechnologyDb();
+    const double n_chips = 1e7;
+    const double fraction = 0.8;
+
+    ChipletSweepSpec spec;
+    spec.partitions = {1};
+    spec.nodes = {"7nm"};
+    spec.redundancy = {0};
+    spec.split_fractions = {fraction};
+    spec.secondary_node = "14nm";
+    ChipletExplorerOptions options;
+    options.parallel = ParallelConfig::serial();
+    const ChipletParetoResult result = ChipletExplorer(db).run(
+        designs::a11("7nm"), n_chips, MarketConditions{}, spec, options);
+    ASSERT_EQ(result.points.size(), 1u);
+    const double explorer_cas = result.points[0].cas;
+
+    const CasModel cas{TtmModel(db)};
+    const double primary =
+        cas.cas(designs::a11("7nm"), fraction * n_chips);
+    const double secondary =
+        cas.cas(designs::a11("14nm"), (1.0 - fraction) * n_chips);
+    EXPECT_DOUBLE_EQ(explorer_cas, 1.0 / (1.0 / primary + 1.0 / secondary));
+
+    const SplitPlanner planner{TtmModel(db), CostModel(db)};
+    const double planner_cas = planner.cas(
+        [](const std::string& process) { return designs::a11(process); },
+        n_chips, "7nm", "14nm", fraction);
+
+    EXPECT_NEAR(explorer_cas, 128.01, 0.005);
+    EXPECT_NEAR(planner_cas, 217.53, 0.005);
 }
 
 } // namespace

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cas.hh"
 #include "core/reference_designs.hh"
 #include "core/uncertainty.hh"
 #include "opt/cache_optimizer.hh"
@@ -345,6 +346,58 @@ TEST(SobolResilienceTest, BootstrapDropsCancelledReplicates)
     // crash or a torn interval.
     EXPECT_THROW(sobolBootstrapCi(rows, options), Error);
     EXPECT_EQ(report.count(DiagCode::Cancelled), 32u);
+}
+
+// ---------------------------------------------------------------- //
+// Capacity sweep (core/cas sweepPoints, the served capacity_sweep)
+// ---------------------------------------------------------------- //
+
+TEST(CapacitySweepResilienceTest, PartialResumeMatchesStraightRunBitwise)
+{
+    const CasModel cas{TtmModel(defaultTechnologyDb())};
+    const ChipDesign zen2 = designs::zen2(designs::Zen2Config::Original);
+    const double n_chips = 2e7;
+    MarketConditions market;
+    market.setQueueWeeks("7nm", Weeks(2.0));
+    std::vector<double> fractions;
+    for (int i = 1; i <= 40; ++i)
+        fractions.push_back(0.025 * i);
+    const std::vector<CasPoint> straight =
+        cas.capacitySweep(zen2, n_chips, fractions, market);
+    const std::size_t n = fractions.size();
+
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+        // Two slots per point (TTM, CAS); the first half was recorded
+        // before a kill, and point 0 holds sentinels so the test sees
+        // that restored points are not re-evaluated.
+        SweepCheckpoint partial;
+        partial.bind("capacity_sweep", 0, 2 * n);
+        for (std::size_t i = 0; i < n / 2; ++i) {
+            partial.record(2 * i, i == 0 ? 123.0 : straight[i].ttm.value());
+            partial.record(2 * i + 1, i == 0 ? 4.5 : straight[i].cas);
+        }
+        BatchControl control;
+        control.parallel = withThreads(threads);
+        control.resume_from = &partial;
+        SweepCheckpoint full;
+        control.checkpoint = &full;
+        const PointBatch<CasPoint> resumed =
+            cas.sweepPoints(zen2, n_chips, fractions, market, control);
+
+        ASSERT_EQ(resumed.values.size(), n);
+        EXPECT_EQ(resumed.values[0].ttm.value(), 123.0);
+        EXPECT_EQ(resumed.values[0].cas, 4.5);
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(resumed.values[i].capacity_fraction, fractions[i]);
+            if (i == 0)
+                continue;
+            EXPECT_EQ(resumed.values[i].ttm.value(), straight[i].ttm.value())
+                << "threads=" << threads << " point " << i;
+            EXPECT_EQ(resumed.values[i].cas, straight[i].cas)
+                << "threads=" << threads << " point " << i;
+        }
+        EXPECT_EQ(full.completedCount(), 2 * n);
+    }
 }
 
 // ---------------------------------------------------------------- //

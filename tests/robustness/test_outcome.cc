@@ -67,6 +67,30 @@ TEST(FiniteOrTest, ThrowsStructuredNumericErrorOnNanAndInf)
     }
 }
 
+TEST(FiniteOrTest, LazyContextIsBuiltOnlyWhenTheGuardFires)
+{
+    int built = 0;
+    const auto context = [&] {
+        ++built;
+        return std::string("TTM of design 'a11'");
+    };
+    EXPECT_DOUBLE_EQ(finiteOr(2.5, DiagCode::NonFiniteTtm, context), 2.5);
+    EXPECT_EQ(built, 0);
+
+    const int line = __LINE__ + 2;
+    try {
+        finiteOr(-kInf, DiagCode::NonFiniteTtm, context);
+        FAIL() << "finiteOr accepted a non-finite value";
+    } catch (const NumericError& error) {
+        EXPECT_EQ(built, 1);
+        EXPECT_EQ(error.diagnostic().message,
+                  "TTM of design 'a11' produced a non-finite value (-Inf)");
+        EXPECT_NE(error.diagnostic().file.find("test_outcome"),
+                  std::string::npos);
+        EXPECT_EQ(error.diagnostic().line, line);
+    }
+}
+
 TEST(FiniteOrTest, NumericErrorIsCatchableAsModelError)
 {
     EXPECT_THROW(finiteOr(kNan, DiagCode::NonFiniteCost, "ctx"),

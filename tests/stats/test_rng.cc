@@ -87,6 +87,48 @@ TEST(RngTest, UniformIntIsApproximatelyUnbiased)
         EXPECT_NEAR(bucket, n / 7.0, 5.0 * std::sqrt(n / 7.0));
 }
 
+/** uniformInt as first written: the threshold recomputed per draw. */
+std::uint64_t
+rejectionDraw(Rng& rng, std::uint64_t bound)
+{
+    const std::uint64_t threshold = (~bound + 1) % bound; // 2^64 mod bound
+    for (;;) {
+        const std::uint64_t raw = rng.next();
+        if (raw >= threshold)
+            return raw % bound;
+    }
+}
+
+TEST(RngTest, UniformIntDrawsEqualTheRejectionFormula)
+{
+    // Bounds 1..1000 plus every power of two: 10^6 + 64 * 1000 draws,
+    // each compared through uniformInt and through a fixed-bound
+    // sampler, with every generator left in the same state.
+    std::vector<std::uint64_t> bounds;
+    for (std::uint64_t bound = 1; bound <= 1000; ++bound)
+        bounds.push_back(bound);
+    for (int shift = 0; shift < 64; ++shift)
+        bounds.push_back(std::uint64_t{1} << shift);
+    bounds.push_back(~std::uint64_t{0});
+    for (const std::uint64_t bound : bounds) {
+        Rng oracle(bound);
+        Rng direct(bound);
+        Rng fixed(bound);
+        const UniformIntSampler sample(bound);
+        for (int i = 0; i < 1000; ++i) {
+            const std::uint64_t expected = rejectionDraw(oracle, bound);
+            ASSERT_EQ(direct.uniformInt(bound), expected)
+                << "bound " << bound << " draw " << i;
+            ASSERT_EQ(sample(fixed), expected)
+                << "bound " << bound << " draw " << i;
+        }
+        const std::uint64_t after = oracle.next();
+        EXPECT_EQ(direct.next(), after) << "bound " << bound;
+        EXPECT_EQ(fixed.next(), after) << "bound " << bound;
+    }
+    EXPECT_THROW(UniformIntSampler(0), ModelError);
+}
+
 TEST(RngTest, NormalMomentsMatch)
 {
     Rng rng(23);
