@@ -14,6 +14,12 @@
  * that loop never consulted the injector: every armed point must fail
  * with its own error object, and every other point must equal the
  * clean run's point byte for byte.
+ *
+ * The three larger ensemble payloads, the cold-mix-sized chiplet sweep
+ * and the 1000-sample mc_ttm were recorded from the evaluator whose
+ * ensemble paths ran the scalar sample -> lower -> TimelineTtmModel
+ * chain, whose summaries fully sorted their samples and whose Pareto
+ * front compared every pair of candidates.
  */
 
 #include <cstdint>
@@ -25,6 +31,7 @@
 
 #include "serve/evaluator.hh"
 #include "serve/request.hh"
+#include "stats/disruption.hh"
 #include "stats/fault_injection.hh"
 #include "support/cancel.hh"
 #include "support/json.hh"
@@ -96,6 +103,41 @@ zen2SobolLine()
     return line("sobol_ttm", kZen2, R"({"global_capacity":0.8})",
                 R"("n_chips":20000000,"seed":13,"samples":40,"band":0.2)");
 }
+
+/** A cold-mix-sized chiplet sweep: 4 x 3 x 4 x 3 = 144 candidates. */
+std::string
+chipletColdMixLine()
+{
+    return line("chiplet_pareto", kA11At7, R"({"global_capacity":0.75})",
+                R"("n_chips":30000000,"seed":18,"chiplet":{)"
+                R"("partitions":[1,2,3,4],"nodes":["7nm","12nm","14nm"],)"
+                R"("redundancy":[0,1,2,3],"split_fractions":[1,0.8,0.6],)"
+                R"("secondary_node":"14nm"})");
+}
+
+/**
+ * Zen 2 under a spec that disrupts only its 7nm node (12nm is absent
+ * from spec.nodes): sticky zero-capacity outages plus clustered Hawkes
+ * shocks, with queue backlogs on both nodes.
+ */
+std::string
+zen2ShockedEnsembleLine()
+{
+    return line(
+        "ensemble_ttm", kZen2,
+        R"({"global_capacity":0.8,"queue_weeks":{"7nm":3,"12nm":1.25}})",
+        R"("n_chips":40000000,"seed":20,"samples":64,"ensemble":{)"
+        R"("horizon_weeks":78,"step_weeks":1.5,"nodes":{"7nm":{)"
+        R"("markov":{"transition":[[0.9,0.06,0.04],[0.1,0.8,0.1],)"
+        R"([0.05,0.25,0.7]],"capacity":[1,0.5,0],)"
+        R"("recovery_ramp_weeks":6,"recovery_ramp_steps":3},)"
+        R"("hawkes":{"mu":0.08,"alpha":0.6,"beta":0.5,)"
+        R"("shock_depth":[0.3,0.9],"shock_weeks":3}}}})");
+}
+
+const char* const kEnsembleA11Name = "ensemble_ttm a11 96 paths";
+const char* const kEnsembleZen2Name = "ensemble_ttm zen2 queued";
+const char* const kEnsembleShockedName = "ensemble_ttm zen2 7nm shocks";
 
 std::string
 hex(std::uint64_t value)
@@ -174,6 +216,26 @@ goldenSet()
               R"("redundancy":[0,1],"split_fractions":[1,0.8],)"
               R"("secondary_node":"14nm"})"),
          false, "ok", "e15f463161f14151", "2330e282037258be"},
+        {kEnsembleA11Name,
+         line("ensemble_ttm", kA11At7, R"({"global_capacity":0.85})",
+              R"("n_chips":25000000,"seed":17,"samples":96)"),
+         false, "ok", "aeec9a936a2712e8", "c830b9369dc623e2"},
+        {kEnsembleZen2Name,
+         line("ensemble_ttm", kZen2,
+              R"({"global_capacity":0.9,"capacity":{"12nm":0.7},)"
+              R"("queue_weeks":{"7nm":2,"12nm":1.5}})",
+              R"("n_chips":20000000,"seed":19,"samples":64)"),
+         false, "ok", "39966e60dfb1c558", "cc39150d59bc2dca"},
+        {kEnsembleShockedName, zen2ShockedEnsembleLine(), false, "ok",
+         "b58144a73ce6a145", "33510c977cbfa964"},
+        {"chiplet_pareto a11 cold-mix size", chipletColdMixLine(), false,
+         "ok", "25e262c6d4b8019c", "3180ed40d12d3e13"},
+        // 1000 samples: p5/p50/p95 sit at ranks 49.95, 499.5 and
+        // 949.05, so each one interpolates between two order statistics.
+        {"mc_ttm a11 1000 samples",
+         line("mc_ttm", kA11At14, R"({"global_capacity":0.7})",
+              R"("n_chips":15000000,"seed":23,"samples":1000)"),
+         false, "ok", "6acb2f3a61374879", "f3897e9bc5b37243"},
         {"capacity_sweep zen2 pre-cancelled", zen2SweepLine(), true,
          "cancelled", "74b6084d4d6c4a20", "749d570f07b27a80"},
         {"sobol_ttm zen2 pre-cancelled", zen2SobolLine(), true, "cancelled",
@@ -201,6 +263,31 @@ TEST(GoldenPayloadTest, PayloadsAndKeysMatchTheRecordedDigests)
     }
     if (HasFailure())
         ADD_FAILURE() << "actual digests:\n" << actual;
+}
+
+TEST(GoldenPayloadTest, EnsemblePayloadsCoverTheOutageGroup)
+{
+    // The ensemble digests only pin the per-path chain when paths land
+    // in every branch of it, zero-capacity outages included.
+    const Evaluator evaluator(defaultTechnologyDb());
+    for (const Golden& golden : goldenSet()) {
+        const std::string name = golden.name;
+        if (name != kEnsembleA11Name && name != kEnsembleZen2Name &&
+            name != kEnsembleShockedName)
+            continue;
+        const EvalOutcome outcome =
+            evaluator.evaluate(parse(golden.line), CancellationToken{});
+        const JsonValue doc = parseJson(outcome.payload);
+        const JsonValue& ensemble = doc.at("ensemble");
+        EXPECT_EQ(ensemble.at("paths_completed").asNumber(),
+                  ensemble.at("paths_requested").asNumber())
+            << name;
+        EXPECT_GE(ensemble.at("paths_requested").asNumber(), 64.0) << name;
+        const JsonValue& outage = ensemble.at("regimes").asArray().at(
+            static_cast<std::size_t>(Regime::Outage));
+        EXPECT_EQ(outage.at("regime").asString(), "outage") << name;
+        EXPECT_GT(outage.at("count").asNumber(), 0.0) << name;
+    }
 }
 
 TEST(GoldenPayloadTest, InjectedSweepFaultsFailOnlyTheirOwnPoints)
