@@ -20,11 +20,17 @@
  *     derivePathSeed(seed, k): pure function of (spec, seed, k).
  *  2. lower — the sampled path becomes a core/timeline
  *     CapacityTimeline per node (composed multiplicatively with the
- *     base market's static capacity factors), so the existing
- *     timeline/TTM machinery evaluates it unchanged.
+ *     base market's static capacity factors).
  *  3. evaluate — TimelineTtmModel integrates TTM over the evolving
  *     capacity; CAS is evaluated at the path's time-averaged market
  *     (the static-market Eq. 8 kernel, unchanged).
+ *
+ * Steps 1-3 are the scalar reference (sampleScenarioPath,
+ * lowerScenarioPath, TimelineTtmModel). The runner computes the same
+ * numbers on flat per-thread buffers: it samples each node into reused
+ * storage, evaluates the path-independent upstream TTM once per run,
+ * integrates the composed phases directly and takes CAS from the
+ * compiled kernel (EnsembleRunner::evaluatePaths).
  *  4. classify — the path is labeled by its dominant regime
  *     (outage / constrained / nominal occupancy thresholds), and the
  *     runner reports TTM/CAS quantiles + bootstrap CIs per regime.
@@ -48,6 +54,7 @@
 #include "core/market.hh"
 #include "core/timeline.hh"
 #include "core/ttm_model.hh"
+#include "stats/batch_driver.hh"
 #include "stats/disruption.hh"
 #include "support/batch_control.hh"
 #include "tech/technology_db.hh"
@@ -115,6 +122,14 @@ MarketTimeline lowerScenarioPath(const ScenarioPath& path,
  */
 Regime classifyScenarioPath(const ScenarioPath& path,
                             const EnsembleSpec& spec);
+
+/** The evaluated TTM, CAS and label of one scenario path. */
+struct EnsemblePath
+{
+    double ttm = 0.0; ///< weeks
+    double cas = 0.0; ///< normalized CAS
+    Regime label = Regime::Nominal;
+};
 
 /** Quantiles and a bootstrap mean-CI of one output over one group. */
 struct EnsembleDistribution
@@ -195,6 +210,22 @@ class EnsembleRunner
                        const MarketConditions& base_market,
                        const EnsembleSpec& spec,
                        const EnsembleOptions& options) const;
+
+    /**
+     * The per-path half of run(): every path's TTM, CAS and label,
+     * with run()'s validation, failure handling and checkpointing.
+     * Path k equals the scalar chain bit for bit —
+     * sampleScenarioPath, classifyScenarioPath, lowerScenarioPath and
+     * TimelineTtmModel::evaluate, then CasModel::cas at the path's
+     * time-averaged capacity factors — and fails with that chain's
+     * diagnostic. docs/PERFORMANCE.md explains how the flat path keeps
+     * that promise.
+     */
+    PointBatch<EnsemblePath>
+    evaluatePaths(const ChipDesign& design, double n_chips,
+                  const MarketConditions& base_market,
+                  const EnsembleSpec& spec,
+                  const EnsembleOptions& options) const;
 
   private:
     TechnologyDb _db;

@@ -30,6 +30,9 @@ enum class Objective
  *
  * A row dominates another when it is at least as good in every
  * objective and strictly better in one. Duplicate rows are all kept.
+ * Returned in ascending index order. Every row must have one score per
+ * direction and no NaN score (ModelError otherwise). O(n log n) for
+ * the sort plus O(n * front size) for the sweep.
  */
 std::vector<std::size_t>
 paretoFront(const std::vector<std::vector<double>>& scores,

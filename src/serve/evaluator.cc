@@ -1,5 +1,6 @@
 #include "serve/evaluator.hh"
 
+#include <cmath>
 #include <utility>
 
 #include "core/cas.hh"
@@ -9,6 +10,7 @@
 #include "core/uncertainty.hh"
 #include "opt/chiplet_explorer.hh"
 #include "opt/chiplet_io.hh"
+#include "stats/summary.hh"
 #include "support/error.hh"
 #include "support/json.hh"
 #include "support/outcome.hh"
@@ -45,25 +47,35 @@ writeFailures(JsonWriter& json, const FailureReport& report)
     json.endObject();
 }
 
-/** Render a Summary, or null for an empty sample set. */
+/**
+ * Render the moments and p5/p50/p95 of @p samples (Summary::of's
+ * values, with the percentiles found by selection, which reorders
+ * the samples), or null for an empty sample set.
+ */
 void
-writeSummary(JsonWriter& json, const std::vector<double>& samples)
+writeSummary(JsonWriter& json, std::vector<double>& samples)
 {
     json.key("summary");
     if (samples.empty()) {
         json.null();
         return;
     }
-    const Summary summary = Summary::of(samples);
+    RunningStats moments;
+    for (const double sample : samples)
+        moments.add(sample);
+    const double variance = moments.count() >= 2 ? moments.variance() : 0.0;
+    static constexpr double kPercentiles[] = {5.0, 50.0, 95.0};
+    double percentiles[3];
+    selectPercentiles(samples, kPercentiles, percentiles);
     json.beginObject();
-    json.field("count", static_cast<std::uint64_t>(summary.count));
-    json.field("mean", summary.mean);
-    json.field("stddev", summary.stddev);
-    json.field("min", summary.min);
-    json.field("max", summary.max);
-    json.field("p5", summary.percentile(5.0));
-    json.field("p50", summary.percentile(50.0));
-    json.field("p95", summary.percentile(95.0));
+    json.field("count", static_cast<std::uint64_t>(moments.count()));
+    json.field("mean", moments.mean());
+    json.field("stddev", std::sqrt(variance));
+    json.field("min", moments.min());
+    json.field("max", moments.max());
+    json.field("p5", percentiles[0]);
+    json.field("p50", percentiles[1]);
+    json.field("p95", percentiles[2]);
     json.endObject();
 }
 
@@ -172,7 +184,7 @@ Evaluator::evaluateMc(const EvalRequest& request,
     const UncertaintyAnalysis::Options options =
         analysisOptions(request, control);
     const UncertaintyAnalysis analysis(_db);
-    const std::vector<double> samples =
+    std::vector<double> samples =
         request.kind == RequestKind::McTtm
             ? analysis.sampleTtm(request.design, request.n_chips,
                                  request.market, options)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 
 #include "support/error.hh"
 
@@ -30,13 +29,17 @@ splitmix64(std::uint64_t& state)
     return z ^ (z >> 31);
 }
 
-/** Finite-and-in-range check that appends a violation message. */
+/**
+ * Finite-and-in-range check that appends a violation message. The
+ * field name is @p name followed by @p suffix, joined only on failure.
+ */
 void
 checkRange(std::vector<std::string>& violations, double value,
-           double lo, double hi, const std::string& name)
+           double lo, double hi, const char* name, const char* suffix = "")
 {
     if (!std::isfinite(value) || value < lo || value > hi)
-        violations.push_back(name + " must be a finite number in [" +
+        violations.push_back(std::string(name) + suffix +
+                             " must be a finite number in [" +
                              std::to_string(lo) + ", " +
                              std::to_string(hi) + "]");
 }
@@ -56,15 +59,16 @@ requireValid(const std::vector<std::string>& violations,
 /**
  * Seeded Poisson deviate. Knuth multiplication for small means; a
  * clamped normal approximation above (exact distribution does not
- * matter there, determinism and boundedness do).
+ * matter there, determinism and boundedness do). @p limit is
+ * std::exp(-mean), passed in so a mean drawn from many times pays the
+ * exponential once.
  */
 std::uint64_t
-samplePoisson(Rng& rng, double mean)
+samplePoisson(Rng& rng, double mean, double limit)
 {
     if (!(mean > 0.0))
         return 0;
     if (mean < 64.0) {
-        const double limit = std::exp(-mean);
         std::uint64_t count = 0;
         double product = rng.uniform();
         while (product > limit) {
@@ -129,9 +133,8 @@ MarkovRegimeParams::violations() const
                                  " must sum to 1");
     }
     for (std::size_t r = 0; r < kRegimeCount; ++r)
-        checkRange(violations, capacity[r], 0.0, 16.0,
-                   std::string("markov.capacity.") +
-                       regimeName(static_cast<Regime>(r)));
+        checkRange(violations, capacity[r], 0.0, 16.0, "markov.capacity.",
+                   regimeName(static_cast<Regime>(r)));
     if (std::isfinite(capacity[index(Regime::Nominal)]) &&
         capacity[index(Regime::Nominal)] <= 0.0)
         violations.push_back("markov.capacity.nominal must be > 0");
@@ -223,7 +226,7 @@ DisruptionProcessParams::violations() const
 }
 
 double
-DisruptionPath::meanCapacity() const
+meanCapacity(std::span<const CapacityPhase> phases, double horizon_weeks)
 {
     if (horizon_weeks <= 0.0 || phases.empty())
         return 1.0;
@@ -239,6 +242,12 @@ DisruptionPath::meanCapacity() const
         accumulated += phases[i].factor * (end - start);
     }
     return accumulated / horizon_weeks;
+}
+
+double
+DisruptionPath::meanCapacity() const
+{
+    return ttmcas::meanCapacity(phases, horizon_weeks);
 }
 
 std::uint64_t
@@ -257,20 +266,22 @@ derivePathSeed(std::uint64_t seed, std::uint64_t path_index)
 namespace {
 
 /** The regime chain post-processed into ramped capacity phases. */
-std::vector<CapacityPhase>
-rampedRegimePhases(const DisruptionPath& path,
+void
+rampedRegimePhases(DisruptionSample& out, double horizon_weeks,
                    const MarkovRegimeParams& markov)
 {
-    std::vector<CapacityPhase> phases;
-    for (std::size_t i = 0; i < path.segments.size(); ++i) {
-        const RegimeSegment& segment = path.segments[i];
+    const std::vector<RegimeSegment>& segments = out.segments;
+    std::vector<CapacityPhase>& phases = out.regime_phases;
+    phases.clear();
+    for (std::size_t i = 0; i < segments.size(); ++i) {
+        const RegimeSegment& segment = segments[i];
         const double start = segment.start_week;
-        const double end = i + 1 < path.segments.size()
-                               ? path.segments[i + 1].start_week
-                               : path.horizon_weeks;
+        const double end = i + 1 < segments.size()
+                               ? segments[i + 1].start_week
+                               : horizon_weeks;
         const double target = markov.capacity[index(segment.regime)];
         const bool after_outage =
-            i > 0 && path.segments[i - 1].regime == Regime::Outage;
+            i > 0 && segments[i - 1].regime == Regime::Outage;
         const double floor = markov.capacity[index(Regime::Outage)];
         if (after_outage && target > floor &&
             markov.recovery_ramp_weeks > 0.0 &&
@@ -293,63 +304,114 @@ rampedRegimePhases(const DisruptionPath& path,
             phases.push_back({start, target});
         }
     }
-    return phases;
 }
 
-double
-factorAtPhase(const std::vector<CapacityPhase>& phases, double t)
-{
-    double factor = phases.empty() ? 1.0 : phases.front().factor;
-    for (const CapacityPhase& phase : phases) {
-        if (phase.start_week > t)
-            break;
-        factor = phase.factor;
-    }
-    return factor;
-}
-
-/** Compose ramped regime phases with shock multipliers. */
+/**
+ * Compose ramped regime phases with shock multipliers: at every
+ * breakpoint (week 0, each regime phase start, each shock's arrival
+ * and in-horizon end), the factor of the last regime phase starting at
+ * or before it times the depth of each shock active there, in arrival
+ * order.
+ *
+ * The three breakpoint lists are each sorted already — ramp phases
+ * stay inside their segment, and all shocks share one duration, so
+ * their ends keep the arrivals' order — so merging them gives the
+ * sorted union, and sweeping it moves three cursors forward: the
+ * current regime phase, the shocks arrived and the shocks ended. The
+ * active shocks are the contiguous run between the last two.
+ */
 void
-composePhases(DisruptionPath& path, const DisruptionProcessParams& params)
+composePhases(DisruptionSample& out, double horizon_weeks,
+              const DisruptionProcessParams& params)
 {
-    const std::vector<CapacityPhase> regime_phases =
-        rampedRegimePhases(path, params.markov);
+    rampedRegimePhases(out, horizon_weeks, params.markov);
+    const std::vector<CapacityPhase>& regime_phases = out.regime_phases;
+    const std::vector<DisruptionEvent>& events = out.events;
+    const auto end_of = [&](std::size_t i) {
+        return events[i].time_week + events[i].duration_weeks;
+    };
 
-    std::vector<double> breakpoints;
-    breakpoints.push_back(0.0);
-    for (const CapacityPhase& phase : regime_phases)
-        breakpoints.push_back(phase.start_week);
-    for (const DisruptionEvent& event : path.events) {
-        breakpoints.push_back(event.time_week);
-        const double end = event.time_week + event.duration_weeks;
-        if (end < path.horizon_weeks)
-            breakpoints.push_back(end);
-    }
-    std::sort(breakpoints.begin(), breakpoints.end());
-    breakpoints.erase(
-        std::unique(breakpoints.begin(), breakpoints.end()),
-        breakpoints.end());
-
-    path.phases.clear();
-    for (const double t : breakpoints) {
-        if (t >= path.horizon_weeks)
+    // Shock arrivals merged with the in-horizon shock ends.
+    std::vector<double>& shock_points = out.shock_points;
+    shock_points.clear();
+    for (std::size_t arrival = 0, end = 0; end < events.size();) {
+        if (arrival < events.size() &&
+            events[arrival].time_week <= end_of(end)) {
+            shock_points.push_back(events[arrival++].time_week);
             continue;
-        double factor = factorAtPhase(regime_phases, t);
-        for (const DisruptionEvent& event : path.events) {
-            if (event.time_week <= t &&
-                t < event.time_week + event.duration_weeks)
-                factor *= event.depth;
         }
+        if (end_of(end) < horizon_weeks)
+            shock_points.push_back(end_of(end));
+        ++end;
+    }
+    // ... merged with week 0 and the regime phase starts.
+    std::vector<double>& breakpoints = out.breakpoints;
+    breakpoints.clear();
+    breakpoints.push_back(0.0);
+    for (std::size_t r = 0, p = 0;
+         r < regime_phases.size() || p < shock_points.size();) {
+        if (p == shock_points.size() ||
+            (r < regime_phases.size() &&
+             regime_phases[r].start_week <= shock_points[p]))
+            breakpoints.push_back(regime_phases[r++].start_week);
+        else
+            breakpoints.push_back(shock_points[p++]);
+    }
+
+    out.phases.clear();
+    std::size_t regime = 0;  // last regime phase starting at or before t
+    std::size_t arrived = 0; // shocks with time_week <= t
+    std::size_t ended = 0;   // shocks ended at or before t
+    for (std::size_t b = 0; b < breakpoints.size(); ++b) {
+        const double t = breakpoints[b];
+        if (t >= horizon_weeks || (b > 0 && t == breakpoints[b - 1]))
+            continue;
+        while (regime + 1 < regime_phases.size() &&
+               regime_phases[regime + 1].start_week <= t)
+            ++regime;
+        while (arrived < events.size() && events[arrived].time_week <= t)
+            ++arrived;
+        while (ended < arrived && end_of(ended) <= t)
+            ++ended;
+        double factor =
+            regime_phases.empty() ? 1.0 : regime_phases[regime].factor;
+        for (std::size_t i = ended; i < arrived; ++i)
+            factor *= events[i].depth;
         if (factor < 0.0)
             factor = 0.0;
-        if (!path.phases.empty() && path.phases.back().factor == factor)
+        if (!out.phases.empty() && out.phases.back().factor == factor)
             continue; // collapse equal-factor neighbours
-        path.phases.push_back({t, factor});
+        out.phases.push_back({t, factor});
     }
     // Beyond the modeled horizon capacity reverts to the nominal
     // factor, so capacity integration always terminates.
-    path.phases.push_back({path.horizon_weeks,
-                           params.markov.capacity[index(Regime::Nominal)]});
+    out.phases.push_back(
+        {horizon_weeks, params.markov.capacity[index(Regime::Nominal)]});
+}
+
+/**
+ * Stable sort of @p events by arrival time. A path holds a handful of
+ * shocks, and an insertion sort orders those without the buffer
+ * std::stable_sort allocates; both are stable, so the order is the same.
+ */
+void
+sortByArrival(std::vector<DisruptionEvent>& events)
+{
+    const auto earlier = [](const DisruptionEvent& a,
+                            const DisruptionEvent& b) {
+        return a.time_week < b.time_week;
+    };
+    if (events.size() > 32) {
+        std::stable_sort(events.begin(), events.end(), earlier);
+        return;
+    }
+    for (std::size_t i = 1; i < events.size(); ++i) {
+        const DisruptionEvent event = events[i];
+        std::size_t j = i;
+        for (; j > 0 && earlier(event, events[j - 1]); --j)
+            events[j] = events[j - 1];
+        events[j] = event;
+    }
 }
 
 } // namespace
@@ -375,68 +437,89 @@ sampleDisruptionPath(const DisruptionProcessParams& params,
         throw ModelError(
             "disruption step_weeks must be finite in (0, horizon]");
 
+    DisruptionSample sample;
+    sampleDisruptionInto(params, horizon_weeks, step_weeks, rng, sample);
     DisruptionPath path;
     path.horizon_weeks = horizon_weeks;
+    path.segments = std::move(sample.segments);
+    path.events = std::move(sample.events);
+    path.phases = std::move(sample.phases);
+    path.occupancy = sample.occupancy;
+    return path;
+}
 
+void
+sampleDisruptionInto(const DisruptionProcessParams& params,
+                     double horizon_weeks, double step_weeks, Rng& rng,
+                     DisruptionSample& out)
+{
     // 1. The regime chain, stepped every step_weeks. All randomness
     // is consumed in a fixed order from the single per-path stream.
+    out.segments.clear();
     Regime state = params.markov.initial;
-    path.segments.push_back({0.0, state});
+    out.segments.push_back({0.0, state});
     const std::size_t steps = static_cast<std::size_t>(
         std::ceil(horizon_weeks / step_weeks));
+    // The running sums of each transition row, added once per path
+    // rather than once per step (the same sums, so the same draws).
+    RegimeMatrix cumulative{};
+    for (std::size_t row = 0; row < kRegimeCount; ++row) {
+        double sum = 0.0;
+        for (std::size_t j = 0; j < kRegimeCount; ++j) {
+            sum += params.markov.transition[row][j];
+            cumulative[row][j] = sum;
+        }
+    }
     for (std::size_t k = 1; k < steps; ++k) {
         const double u = rng.uniform();
-        const auto& row = params.markov.transition[index(state)];
-        double cumulative = 0.0;
-        std::size_t next = kRegimeCount - 1;
-        for (std::size_t j = 0; j < kRegimeCount; ++j) {
-            cumulative += row[j];
-            if (u < cumulative) {
-                next = j;
-                break;
-            }
-        }
+        const auto& row = cumulative[index(state)];
+        std::size_t next = 0;
+        while (next < kRegimeCount - 1 && !(u < row[next]))
+            ++next;
         const Regime next_regime = static_cast<Regime>(next);
         if (next_regime != state) {
-            path.segments.push_back(
+            out.segments.push_back(
                 {static_cast<double>(k) * step_weeks, next_regime});
             state = next_regime;
         }
     }
-    path.occupancy.fill(0.0);
-    for (std::size_t i = 0; i < path.segments.size(); ++i) {
-        const double start = path.segments[i].start_week;
-        const double end = i + 1 < path.segments.size()
-                               ? path.segments[i + 1].start_week
+    out.occupancy.fill(0.0);
+    for (std::size_t i = 0; i < out.segments.size(); ++i) {
+        const double start = out.segments[i].start_week;
+        const double end = i + 1 < out.segments.size()
+                               ? out.segments[i + 1].start_week
                                : horizon_weeks;
-        path.occupancy[index(path.segments[i].regime)] +=
+        out.occupancy[index(out.segments[i].regime)] +=
             (end - start) / horizon_weeks;
     }
 
     // 2. Hawkes shocks via the cluster representation: immigrant
     // arrivals first, then the cascade queue processed front-to-back
     // (FIFO), each event drawing depth, then children, then delays.
+    out.events.clear();
     const HawkesParams& hawkes = params.hawkes;
     if (hawkes.mu > 0.0) {
-        const std::uint64_t immigrants =
-            samplePoisson(rng, hawkes.mu * horizon_weeks);
-        std::deque<double> pending;
+        const double immigrant_mean = hawkes.mu * horizon_weeks;
+        const std::uint64_t immigrants = samplePoisson(
+            rng, immigrant_mean, std::exp(-immigrant_mean));
+        const double children_limit = std::exp(-hawkes.alpha);
+        std::vector<double>& pending = out.pending;
+        pending.clear();
         for (std::uint64_t i = 0; i < immigrants; ++i)
             pending.push_back(rng.uniform(0.0, horizon_weeks));
-        while (!pending.empty()) {
-            const double time = pending.front();
-            pending.pop_front();
+        for (std::size_t head = 0; head < pending.size(); ++head) {
+            const double time = pending[head];
             DisruptionEvent event;
             event.time_week = time;
             event.depth = rng.uniform(hawkes.shock_depth_min,
                                       hawkes.shock_depth_max);
             event.duration_weeks = hawkes.shock_weeks;
-            path.events.push_back(event);
-            if (path.events.size() > kMaxEventsPerPath)
+            out.events.push_back(event);
+            if (out.events.size() > kMaxEventsPerPath)
                 throw ModelError(
                     "hawkes cascade exceeded the per-path event cap");
             const std::uint64_t children =
-                samplePoisson(rng, hawkes.alpha);
+                samplePoisson(rng, hawkes.alpha, children_limit);
             for (std::uint64_t c = 0; c < children; ++c) {
                 const double delay =
                     -std::log1p(-rng.uniform()) / hawkes.beta;
@@ -445,17 +528,12 @@ sampleDisruptionPath(const DisruptionProcessParams& params,
                     pending.push_back(child_time);
             }
         }
-        std::stable_sort(path.events.begin(), path.events.end(),
-                         [](const DisruptionEvent& a,
-                            const DisruptionEvent& b) {
-                             return a.time_week < b.time_week;
-                         });
+        sortByArrival(out.events);
     }
 
     // 3. Lower (regime chain + ramps) x (shock multipliers) into one
     // piecewise-constant capacity factor.
-    composePhases(path, params);
-    return path;
+    composePhases(out, horizon_weeks, params);
 }
 
 double

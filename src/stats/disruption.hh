@@ -45,6 +45,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -191,6 +192,33 @@ struct DisruptionPath
 };
 
 /**
+ * Time-average of the composed factor @p phases over [0, horizon):
+ * DisruptionPath::meanCapacity on the bare phase list.
+ */
+double meanCapacity(std::span<const CapacityPhase> phases,
+                    double horizon_weeks);
+
+/**
+ * Reusable buffers of one node's sampled path: the fields of a
+ * DisruptionPath plus the sampler's scratch space. An ensemble keeps
+ * one per thread, so a path allocates nothing once the buffers have
+ * grown to its size (they never outgrow the per-path event cap).
+ */
+struct DisruptionSample
+{
+    std::vector<RegimeSegment> segments;
+    std::vector<DisruptionEvent> events;
+    std::vector<CapacityPhase> phases;
+    std::array<double, kRegimeCount> occupancy{1.0, 0.0, 0.0};
+
+    /** Cascade FIFO, ramped regime phases and sorted breakpoints. */
+    std::vector<double> pending;
+    std::vector<CapacityPhase> regime_phases;
+    std::vector<double> shock_points;
+    std::vector<double> breakpoints;
+};
+
+/**
  * Per-path stream seed: a splitmix64 mix of (seed, path_index). Pure
  * and O(1), so path k of an ensemble draws the identical stream no
  * matter which thread evaluates it or in what order — the ensemble
@@ -218,6 +246,18 @@ DisruptionPath sampleDisruptionPath(const DisruptionProcessParams& params,
 DisruptionPath sampleDisruptionPath(const DisruptionProcessParams& params,
                                     double horizon_weeks,
                                     double step_weeks, Rng& rng);
+
+/**
+ * sampleDisruptionPath into @p out without validating its arguments:
+ * the caller has checked @p params (violations() empty), the horizon
+ * and the step once for many paths. Draws the same numbers in the same
+ * order, so the segments, events, phases and occupancy equal
+ * sampleDisruptionPath's bit for bit; throws ModelError only when a
+ * cascade exceeds the event cap, with sampleDisruptionPath's message.
+ */
+void sampleDisruptionInto(const DisruptionProcessParams& params,
+                          double horizon_weeks, double step_weeks,
+                          Rng& rng, DisruptionSample& out);
 
 /**
  * Conditional intensity lambda(t) of @p params given sampled

@@ -1,5 +1,6 @@
 #include "stats/rng.hh"
 
+#include <bit>
 #include <cmath>
 
 #include "support/error.hh"
@@ -33,13 +34,6 @@ Rng::Rng(std::uint64_t seed)
 }
 
 double
-Rng::uniform()
-{
-    // Top 53 bits give a uniform dyadic rational in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double
 Rng::uniform(double lo, double hi)
 {
     TTMCAS_REQUIRE(lo <= hi, "uniform bounds must satisfy lo <= hi");
@@ -57,8 +51,25 @@ UniformIntSampler::UniformIntSampler(std::uint64_t bound)
 {
     TTMCAS_REQUIRE(bound > 0, "uniformInt bound must be positive");
     // A power of two divides 2^64, so no draw is ever rejected.
-    if (!_power_of_two)
-        _threshold = (~bound + 1) % bound; // 2^64 mod bound
+    if (_power_of_two)
+        return;
+    _threshold = (~bound + 1) % bound; // 2^64 mod bound
+    // floor(2^(64 + shift) / bound) with 2^shift < bound < 2^(shift+1):
+    // the reciprocal rounded down, then up by one below.
+    _shift = 63u - static_cast<unsigned>(std::countl_zero(bound));
+    const Uint128 numerator = static_cast<Uint128>(1) << (64 + _shift);
+    std::uint64_t magic = static_cast<std::uint64_t>(numerator / bound);
+    const std::uint64_t rem = static_cast<std::uint64_t>(numerator % bound);
+    if (bound - rem >= (std::uint64_t{1} << _shift)) {
+        // Rounding up at this precision errs for some 64-bit raws; use
+        // one more bit of reciprocal (the 65th, implicit in remainder).
+        magic += magic;
+        const std::uint64_t twice_rem = rem + rem;
+        if (twice_rem >= bound || twice_rem < rem)
+            magic += 1;
+        _add = true;
+    }
+    _magic = magic + 1;
 }
 
 double

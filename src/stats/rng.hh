@@ -52,7 +52,12 @@ class Rng
     static constexpr std::uint64_t max() { return ~0ULL; }
 
     /** Uniform double in [0, 1) with 53 bits of precision. */
-    double uniform();
+    double
+    uniform()
+    {
+        // Top 53 bits give a uniform dyadic rational in [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);
@@ -90,11 +95,17 @@ class Rng
     double _cached_normal = 0.0;
 };
 
+/** 128-bit product type of the reciprocal remainder (GCC/Clang). */
+__extension__ typedef unsigned __int128 Uint128;
+
 /**
  * Rng::uniformInt with the bound fixed: the same draws, draw for draw,
  * without recomputing the rejection threshold (a 64-bit division) on
  * every call. A power-of-two bound needs no rejection and no division
- * at all.
+ * at all; any other bound takes its remainder with a precomputed
+ * multiply-high reciprocal (Granlund & Montgomery's round-up method,
+ * as in libdivide), which yields raw % bound exactly for every 64-bit
+ * raw at about three quarters of the divide's cost.
  */
 class UniformIntSampler
 {
@@ -112,13 +123,30 @@ class UniformIntSampler
         for (;;) {
             const std::uint64_t raw = rng.next();
             if (raw >= _threshold)
-                return raw % _bound;
+                return remainder(raw);
         }
+    }
+
+    /** raw % bound, by the reciprocal (bound must not be a power of two). */
+    std::uint64_t
+    remainder(std::uint64_t raw) const
+    {
+        std::uint64_t quotient = static_cast<std::uint64_t>(
+            (static_cast<Uint128>(_magic) * raw) >> 64);
+        // A 65-bit magic number keeps its top bit implicit: add the
+        // numerator back in without overflowing, then shift.
+        if (_add)
+            quotient = ((raw - quotient) >> 1) + quotient;
+        quotient >>= _shift;
+        return raw - quotient * _bound;
     }
 
   private:
     std::uint64_t _bound;
     std::uint64_t _threshold = 0; ///< 2^64 mod bound
+    std::uint64_t _magic = 0;     ///< low 64 bits of the reciprocal
+    unsigned _shift = 0;
+    bool _add = false; ///< the reciprocal needs a 65th bit
     bool _power_of_two = false;
 };
 

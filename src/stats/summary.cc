@@ -8,12 +8,50 @@
 
 namespace ttmcas {
 
-Interval
-Summary::percentileInterval(double coverage) const
+namespace {
+
+/** Where percentile @p p falls among @p n >= 2 sorted samples. */
+struct Rank
+{
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    double frac = 0.0;
+};
+
+Rank
+rankOf(double p, std::size_t n)
+{
+    TTMCAS_REQUIRE(p >= 0.0 && p <= 100.0, "percentile must be in [0, 100]");
+    const double rank = p / 100.0 * static_cast<double>(n - 1);
+    Rank at;
+    at.lo = static_cast<std::size_t>(std::floor(rank));
+    at.hi = std::min(at.lo + 1, n - 1);
+    at.frac = rank - static_cast<double>(at.lo);
+    return at;
+}
+
+/** Linear interpolation between the order statistics at a Rank. */
+double
+interpolate(const Rank& at, double lo, double hi)
+{
+    return lo + at.frac * (hi - lo);
+}
+
+/** The lower tail of a central interval covering @p coverage. */
+double
+tailOf(double coverage)
 {
     TTMCAS_REQUIRE(coverage > 0.0 && coverage < 1.0,
                    "coverage must be in (0, 1)");
-    const double tail = 100.0 * (1.0 - coverage) / 2.0;
+    return 100.0 * (1.0 - coverage) / 2.0;
+}
+
+} // namespace
+
+Interval
+Summary::percentileInterval(double coverage) const
+{
+    const double tail = tailOf(coverage);
     return Interval{percentile(tail), percentile(100.0 - tail)};
 }
 
@@ -24,12 +62,55 @@ Summary::percentile(double p) const
     TTMCAS_REQUIRE(!_sorted.empty(), "percentile of empty summary");
     if (_sorted.size() == 1)
         return _sorted.front();
+    const Rank at = rankOf(p, _sorted.size());
+    return interpolate(at, _sorted[at.lo], _sorted[at.hi]);
+}
 
-    const double rank = p / 100.0 * static_cast<double>(_sorted.size() - 1);
-    const auto lo = static_cast<std::size_t>(std::floor(rank));
-    const auto hi = std::min(lo + 1, _sorted.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return _sorted[lo] + frac * (_sorted[hi] - _sorted[lo]);
+void
+selectPercentiles(std::span<double> samples, std::span<const double> ps,
+                  std::span<double> out)
+{
+    TTMCAS_REQUIRE(!samples.empty(), "percentile of empty samples");
+    TTMCAS_REQUIRE(out.size() == ps.size(),
+                   "one output per requested percentile");
+    const std::size_t n = samples.size();
+    // samples[0, placed) hold the smallest `placed` order statistics in
+    // order; everything after them is unordered but no smaller.
+    std::size_t placed = 0;
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+        TTMCAS_REQUIRE(i == 0 || ps[i] >= ps[i - 1],
+                       "percentiles must be non-decreasing");
+        if (n == 1) {
+            TTMCAS_REQUIRE(ps[i] >= 0.0 && ps[i] <= 100.0,
+                           "percentile must be in [0, 100]");
+            out[i] = samples.front();
+            continue;
+        }
+        const Rank at = rankOf(ps[i], n);
+        if (at.lo >= placed) {
+            std::nth_element(samples.begin() + placed,
+                             samples.begin() + at.lo, samples.end());
+            placed = at.lo + 1;
+        }
+        if (at.hi >= placed) {
+            // The next order statistic is the minimum of the rest.
+            std::iter_swap(samples.begin() + at.hi,
+                           std::min_element(samples.begin() + at.hi,
+                                            samples.end()));
+            placed = at.hi + 1;
+        }
+        out[i] = interpolate(at, samples[at.lo], samples[at.hi]);
+    }
+}
+
+Interval
+selectPercentileInterval(std::span<double> samples, double coverage)
+{
+    const double tail = tailOf(coverage);
+    const double ps[2] = {tail, 100.0 - tail};
+    double bounds[2];
+    selectPercentiles(samples, ps, bounds);
+    return Interval{bounds[0], bounds[1]};
 }
 
 Interval

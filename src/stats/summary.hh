@@ -12,6 +12,7 @@
  */
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace ttmcas {
@@ -61,6 +62,21 @@ struct Summary
   private:
     std::vector<double> _sorted;
 };
+
+/**
+ * Percentiles by selection: out[i] is Summary::of(samples)
+ * .percentile(ps[i]) bit for bit, found with std::nth_element instead
+ * of a full sort. Selection places the same order statistics the sort
+ * would, and the same interpolation reads them. @p ps must be
+ * non-decreasing; @p samples must be non-empty and free of NaN, and
+ * come back reordered.
+ */
+void selectPercentiles(std::span<double> samples,
+                       std::span<const double> ps, std::span<double> out);
+
+/** Summary::of(samples).percentileInterval(coverage), by selection. */
+Interval selectPercentileInterval(std::span<double> samples,
+                                  double coverage);
 
 /** Online mean/variance accumulator (Welford). */
 class RunningStats

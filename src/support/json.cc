@@ -1,5 +1,6 @@
 #include "support/json.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -9,11 +10,24 @@
 
 namespace ttmcas {
 
-std::string
-jsonEscape(const std::string& text)
+namespace {
+
+/** True when @p c must be escaped inside a JSON string. */
+bool
+needsEscape(char c)
 {
-    std::string out;
-    out.reserve(text.size() + 2);
+    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+/** Append jsonEscape(@p text) to @p out without a temporary string. */
+void
+appendEscaped(std::string& out, const std::string& text)
+{
+    // Keys and most values need no escape: append them in one piece.
+    if (std::none_of(text.begin(), text.end(), needsEscape)) {
+        out += text;
+        return;
+    }
     for (const char c : text) {
         switch (c) {
         case '"': out += "\\\""; break;
@@ -35,6 +49,16 @@ jsonEscape(const std::string& text)
             }
         }
     }
+}
+
+} // namespace
+
+std::string
+jsonEscape(const std::string& text)
+{
+    std::string out;
+    out.reserve(text.size() + 2);
+    appendEscaped(out, text);
     return out;
 }
 
@@ -130,7 +154,7 @@ JsonWriter::key(const std::string& name)
 {
     separate();
     _out += '"';
-    _out += jsonEscape(name);
+    appendEscaped(_out, name);
     _out += "\":";
     _pending_key = true;
 }
@@ -140,7 +164,7 @@ JsonWriter::value(const std::string& text)
 {
     separate();
     _out += '"';
-    _out += jsonEscape(text);
+    appendEscaped(_out, text);
     _out += '"';
 }
 
