@@ -287,7 +287,7 @@ distributionOf(std::vector<double>& samples, Rng& bootstrap_rng,
         dist.ci_hi = interval.hi;
     }
     static constexpr double kQuantiles[] = {5.0, 50.0, 95.0};
-    double quantiles[3];
+    double quantiles[3] = {};
     selectPercentiles(samples, kQuantiles, quantiles);
     dist.p5 = quantiles[0];
     dist.p50 = quantiles[1];

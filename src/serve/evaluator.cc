@@ -65,7 +65,7 @@ writeSummary(JsonWriter& json, std::vector<double>& samples)
         moments.add(sample);
     const double variance = moments.count() >= 2 ? moments.variance() : 0.0;
     static constexpr double kPercentiles[] = {5.0, 50.0, 95.0};
-    double percentiles[3];
+    double percentiles[3] = {};
     selectPercentiles(samples, kPercentiles, percentiles);
     json.beginObject();
     json.field("count", static_cast<std::uint64_t>(moments.count()));

@@ -108,7 +108,7 @@ selectPercentileInterval(std::span<double> samples, double coverage)
 {
     const double tail = tailOf(coverage);
     const double ps[2] = {tail, 100.0 - tail};
-    double bounds[2];
+    double bounds[2] = {};
     selectPercentiles(samples, ps, bounds);
     return Interval{bounds[0], bounds[1]};
 }

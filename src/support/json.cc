@@ -21,7 +21,7 @@ needsEscape(char c)
 
 /** Append jsonEscape(@p text) to @p out without a temporary string. */
 void
-appendEscaped(std::string& out, const std::string& text)
+appendEscaped(std::string& out, std::string_view text)
 {
     // Keys and most values need no escape: append them in one piece.
     if (std::none_of(text.begin(), text.end(), needsEscape)) {
@@ -150,7 +150,7 @@ JsonWriter::endArray()
 }
 
 void
-JsonWriter::key(const std::string& name)
+JsonWriter::key(std::string_view name)
 {
     separate();
     _out += '"';
@@ -160,7 +160,7 @@ JsonWriter::key(const std::string& name)
 }
 
 void
-JsonWriter::value(const std::string& text)
+JsonWriter::value(std::string_view text)
 {
     separate();
     _out += '"';
@@ -171,7 +171,7 @@ JsonWriter::value(const std::string& text)
 void
 JsonWriter::value(const char* text)
 {
-    value(std::string(text));
+    value(std::string_view(text));
 }
 
 void
@@ -211,35 +211,35 @@ JsonWriter::raw(const std::string& json)
 }
 
 void
-JsonWriter::field(const std::string& name, const std::string& text)
+JsonWriter::field(std::string_view name, std::string_view text)
 {
     key(name);
     value(text);
 }
 
 void
-JsonWriter::field(const std::string& name, const char* text)
+JsonWriter::field(std::string_view name, const char* text)
 {
     key(name);
     value(text);
 }
 
 void
-JsonWriter::field(const std::string& name, double number)
+JsonWriter::field(std::string_view name, double number)
 {
     key(name);
     value(number);
 }
 
 void
-JsonWriter::field(const std::string& name, std::uint64_t number)
+JsonWriter::field(std::string_view name, std::uint64_t number)
 {
     key(name);
     value(number);
 }
 
 void
-JsonWriter::field(const std::string& name, bool flag)
+JsonWriter::field(std::string_view name, bool flag)
 {
     key(name);
     value(flag);

@@ -28,6 +28,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ttmcas {
@@ -69,11 +70,11 @@ class JsonWriter
     void endArray();
 
     /** Emit an object key; must be followed by exactly one value. */
-    void key(const std::string& name);
+    void key(std::string_view name);
 
     /** Emit a string value. */
-    void value(const std::string& text);
-    /** Emit a string value (avoids std::string copies of literals). */
+    void value(std::string_view text);
+    /** Emit a string value (a literal, not a boolean). */
     void value(const char* text);
     /** Emit a numeric value (NaN/Inf are emitted as null). */
     void value(double number);
@@ -87,15 +88,15 @@ class JsonWriter
     void raw(const std::string& json);
 
     /** key() + value() in one call, for each overload. */
-    void field(const std::string& name, const std::string& text);
-    /** @copydoc field(const std::string&, const std::string&) */
-    void field(const std::string& name, const char* text);
-    /** @copydoc field(const std::string&, const std::string&) */
-    void field(const std::string& name, double number);
-    /** @copydoc field(const std::string&, const std::string&) */
-    void field(const std::string& name, std::uint64_t number);
-    /** @copydoc field(const std::string&, const std::string&) */
-    void field(const std::string& name, bool flag);
+    void field(std::string_view name, std::string_view text);
+    /** @copydoc field(std::string_view, std::string_view) */
+    void field(std::string_view name, const char* text);
+    /** @copydoc field(std::string_view, std::string_view) */
+    void field(std::string_view name, double number);
+    /** @copydoc field(std::string_view, std::string_view) */
+    void field(std::string_view name, std::uint64_t number);
+    /** @copydoc field(std::string_view, std::string_view) */
+    void field(std::string_view name, bool flag);
 
     /** The document written so far. */
     std::string str() const { return _out; }
