@@ -24,6 +24,9 @@
  *  3. evaluate — TimelineTtmModel integrates TTM over the evolving
  *     capacity; CAS is evaluated at the path's time-averaged market
  *     (the static-market Eq. 8 kernel, unchanged).
+ *  4. classify — the path is labeled by its dominant regime
+ *     (outage / constrained / nominal occupancy thresholds), and the
+ *     runner reports TTM/CAS quantiles + bootstrap CIs per regime.
  *
  * Steps 1-3 are the scalar reference (sampleScenarioPath,
  * lowerScenarioPath, TimelineTtmModel). The runner computes the same
@@ -31,9 +34,6 @@
  * storage, evaluates the path-independent upstream TTM once per run,
  * integrates the composed phases directly and takes CAS from the
  * compiled kernel (EnsembleRunner::evaluatePaths).
- *  4. classify — the path is labeled by its dominant regime
- *     (outage / constrained / nominal occupancy thresholds), and the
- *     runner reports TTM/CAS quantiles + bootstrap CIs per regime.
  *
  * The runner reuses the full PR 1/2/5 machinery: per-path outcome
  * slots evaluated by parallelFor (thread-count invariant),

@@ -211,7 +211,7 @@ struct DisruptionSample
     std::vector<CapacityPhase> phases;
     std::array<double, kRegimeCount> occupancy{1.0, 0.0, 0.0};
 
-    /** Cascade FIFO, ramped regime phases and sorted breakpoints. */
+    /** Scratch: cascade FIFO, ramped regime phases, breakpoints. */
     std::vector<double> pending;
     std::vector<CapacityPhase> regime_phases;
     std::vector<double> shock_points;

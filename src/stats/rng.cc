@@ -43,7 +43,17 @@ Rng::uniform(double lo, double hi)
 std::uint64_t
 Rng::uniformInt(std::uint64_t bound)
 {
-    return UniformIntSampler(bound)(*this);
+    TTMCAS_REQUIRE(bound > 0, "uniformInt bound must be positive");
+    if ((bound & (bound - 1)) == 0)
+        return next() & (bound - 1);
+    // UniformIntSampler's draws, but one draw does not repay its
+    // reciprocal (two 128-bit divisions): take the remainder directly.
+    const std::uint64_t threshold = (~bound + 1) % bound; // 2^64 mod bound
+    for (;;) {
+        const std::uint64_t raw = next();
+        if (raw >= threshold)
+            return raw % bound;
+    }
 }
 
 UniformIntSampler::UniformIntSampler(std::uint64_t bound)
@@ -54,15 +64,16 @@ UniformIntSampler::UniformIntSampler(std::uint64_t bound)
     if (_power_of_two)
         return;
     _threshold = (~bound + 1) % bound; // 2^64 mod bound
-    // floor(2^(64 + shift) / bound) with 2^shift < bound < 2^(shift+1):
-    // the reciprocal rounded down, then up by one below.
+    // magic = floor(2^(64 + shift) / bound) + 1, the reciprocal rounded
+    // up, with 2^shift < bound < 2^(shift + 1).
     _shift = 63u - static_cast<unsigned>(std::countl_zero(bound));
     const Uint128 numerator = static_cast<Uint128>(1) << (64 + _shift);
     std::uint64_t magic = static_cast<std::uint64_t>(numerator / bound);
     const std::uint64_t rem = static_cast<std::uint64_t>(numerator % bound);
     if (bound - rem >= (std::uint64_t{1} << _shift)) {
-        // Rounding up at this precision errs for some 64-bit raws; use
-        // one more bit of reciprocal (the 65th, implicit in remainder).
+        // The rounding error exceeds 2^shift, so some 64-bit raws would
+        // get a wrong quotient: take one more bit of precision (a 65-bit
+        // magic whose top bit remainder() adds back).
         magic += magic;
         const std::uint64_t twice_rem = rem + rem;
         if (twice_rem >= bound || twice_rem < rem)

@@ -65,7 +65,8 @@ class Rng
     /**
      * Uniform integer in [0, bound) without modulo bias. A loop that
      * draws many values under one bound should use UniformIntSampler,
-     * which computes the rejection threshold once.
+     * which computes the rejection threshold and a divide-free
+     * remainder once; both give the same draws.
      */
     std::uint64_t uniformInt(std::uint64_t bound);
 

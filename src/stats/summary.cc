@@ -74,8 +74,9 @@ selectPercentiles(std::span<double> samples, std::span<const double> ps,
     TTMCAS_REQUIRE(out.size() == ps.size(),
                    "one output per requested percentile");
     const std::size_t n = samples.size();
-    // samples[0, placed) hold the smallest `placed` order statistics in
-    // order; everything after them is unordered but no smaller.
+    // samples[0, placed) hold the `placed` smallest values, none larger
+    // than any value after them, and samples[placed - 1] is the order
+    // statistic of its rank.
     std::size_t placed = 0;
     for (std::size_t i = 0; i < ps.size(); ++i) {
         TTMCAS_REQUIRE(i == 0 || ps[i] >= ps[i - 1],

@@ -4,7 +4,8 @@
  * computation it replaces:
  *
  *  - UniformIntSampler's multiply-high reciprocal remainder equals
- *    raw % bound, and its draws equal the modulo rejection loop;
+ *    raw % bound, and its draws, like Rng::uniformInt's, equal the
+ *    modulo rejection loop;
  *  - selectPercentiles / selectPercentileInterval equal the sorted
  *    Summary::percentile / percentileInterval bit for bit;
  *  - the sort-and-sweep paretoFront equals the O(n^2) all-pairs scan.
@@ -98,6 +99,7 @@ TEST(UniformIntSamplerProperty, DrawsMatchTheModuloRejectionLoop)
           (std::uint64_t{1} << 63) + 1, kMax}) {
         const UniformIntSampler sampler(bound);
         Rng fast(bound ^ 0xd1ce);
+        Rng one_shot(bound ^ 0xd1ce);
         Rng reference(bound ^ 0xd1ce);
         const std::uint64_t floor =
             (bound & (bound - 1)) == 0 ? 0 : threshold(bound);
@@ -106,6 +108,8 @@ TEST(UniformIntSamplerProperty, DrawsMatchTheModuloRejectionLoop)
             while (raw < floor)
                 raw = reference.next();
             ASSERT_EQ(sampler(fast), raw % bound) << "bound " << bound;
+            ASSERT_EQ(one_shot.uniformInt(bound), raw % bound)
+                << "bound " << bound;
         }
     }
 }
@@ -178,7 +182,7 @@ TEST(SelectPercentilesProperty, SeededSamplesWithTiesMatchSortedSummary)
 TEST(SelectPercentilesProperty, RejectsBadArguments)
 {
     std::vector<double> samples = {1.0, 2.0, 3.0};
-    double out[2];
+    double out[2] = {};
     const double descending[] = {50.0, 5.0};
     EXPECT_THROW(selectPercentiles(samples, descending, out), ModelError);
     const double out_of_range[] = {5.0, 101.0};
