@@ -5,10 +5,11 @@
  * technology rescale, and TtmModel rebuild) versus the compiled SoA
  * batch path (EvalPath::kBatch — precomputed node constants, Eq. 1-7
  * over contiguous lanes, zero per-sample allocation), at batch sizes
- * 1 / 64 / 4096 / 65536. Two more rows time the kernels that batch
- * through the point driver's chunk fill: the Saltelli rows of
- * ttmSensitivity (gathered into ttmBatch columns) and
- * CasModel::capacitySweep (the compiled sweep kernel). Verifies the
+ * 1 / 64 / 4096 / 65536. Three more rows time the kernels that batch
+ * through the point driver's chunk fill: the Monte-Carlo CAS kernel
+ * sampleCas (casBatch), the Saltelli rows of ttmSensitivity (gathered
+ * into ttmBatch columns) and CasModel::capacitySweep (the compiled
+ * sweep kernel). Verifies the
  * two paths agree bitwise on every row while timing them, exits 1 on
  * a mismatch, and writes bench_out/BENCH_ttm_kernel.json (with the
  * ttm.batch.* metrics block) for the CI artifact trail.
@@ -186,16 +187,22 @@ main()
                     row.bitwise_identical ? "" : "  [MISMATCH]");
     }
 
-    // Point-driver kernels with a chunk fill: Sobol's (k + 2) * N
-    // Saltelli rows and the capacity sweep's grid.
+    // Point-driver kernels with a chunk fill: Monte-Carlo CAS samples,
+    // Sobol's (k + 2) * N Saltelli rows and the capacity sweep's grid.
     std::cout << "\nkernel           points   scalar ns/point"
                  "   batch ns/point    speedup\n";
+    constexpr std::size_t kCasSamples = 1024;
     constexpr std::size_t kSobolBase = 256;
     constexpr std::size_t kGrid = 512;
     std::vector<double> fractions;
     for (std::size_t i = 0; i < kGrid; ++i)
         fractions.push_back(0.2 + 0.8 * static_cast<double>(i + 1) / kGrid);
     const std::vector<KernelRow> kernel_rows{
+        kernelRow("sampleCas", kCasSamples,
+                  [&](EvalPath path) {
+                      return analysis.sampleCas(a11, n_chips, {},
+                                                mcOptions(kCasSamples, path));
+                  }),
         kernelRow("ttmSensitivity", (6 + 2) * kSobolBase,
                   [&](EvalPath path) {
                       return flatten(analysis.ttmSensitivity(

@@ -1,22 +1,67 @@
 #include "core/cas.hh"
 
-#include <cmath>
 #include <optional>
 #include <string>
 
 #include "support/error.hh"
-#include "support/mathutil.hh"
 #include "support/outcome.hh"
 
 namespace ttmcas {
+
+namespace {
+
+/** |dTTM/dmuW| of one node's fab time, (Q + W) / muW^2. */
+double
+nodeSlope(const NodeFabDetail& node)
+{
+    const double rate = node.effective_rate.value();
+    return (node.queue_time.value() + node.wafers.value() / rate) / rate;
+}
+
+/** Nodes whose fab time ties for the maximum (the bottleneck set). */
+std::size_t
+bottleneckCount(const TtmResult& result)
+{
+    std::size_t count = 0;
+    for (const NodeFabDetail& node : result.node_details)
+        count += node.fabTime() == result.fab_time ? 1 : 0;
+    return count;
+}
+
+/** Raw Eq. 8 score of @p design from its evaluation @p result. */
+double
+rawCasOf(const ChipDesign& design, const TtmResult& result)
+{
+    const double slope_sum = rateSlopeSum(result);
+    finiteOr(slope_sum, DiagCode::NonFiniteCas,
+             [&] { return "CAS slope sum of design '" + design.name + "'"; });
+    TTMCAS_REQUIRE(slope_sum > 0.0,
+                   "TTM of design '" + design.name +
+                       "' is insensitive to every node's production rate; "
+                       "CAS is unbounded");
+    return 1.0 / slope_sum;
+}
+
+} // namespace
+
+double
+rateSlopeSum(const TtmResult& result)
+{
+    // Summed in node order, then halved at a tie: the op order of
+    // CompiledDesign::fabPhase, so the kernels stay bitwise equal.
+    double slope_sum = 0.0;
+    for (const NodeFabDetail& node : result.node_details) {
+        if (node.fabTime() == result.fab_time)
+            slope_sum += nodeSlope(node);
+    }
+    return bottleneckCount(result) > 1 ? slope_sum * 0.5 : slope_sum;
+}
 
 CasModel::CasModel(TtmModel model) : CasModel(std::move(model), Options{}) {}
 
 CasModel::CasModel(TtmModel model, Options options)
     : _model(std::move(model)), _options(options)
 {
-    TTMCAS_REQUIRE(_options.derivative_rel_step > 0.0,
-                   "derivative step must be positive");
     TTMCAS_REQUIRE(_options.normalization > 0.0,
                    "CAS normalization must be positive");
 }
@@ -26,41 +71,19 @@ CasModel::dTtmDMu(const ChipDesign& design, double n_chips,
                   const MarketConditions& market,
                   const std::string& process) const
 {
-    const ProcessNode& node = _model.technology().node(process);
-    const WafersPerWeek max_rate = node.waferRate();
-    TTMCAS_REQUIRE(max_rate.value() > 0.0,
-                   "node '" + process + "' has no production to perturb");
-    const double current_rate =
-        market.effectiveWaferRate(node).value();
-    TTMCAS_REQUIRE(current_rate > 0.0,
-                   "node '" + process +
-                       "' has zero effective rate under this market");
-
-    // TTM as a function of this node's effective wafer rate: express the
-    // rate as a capacity factor so every other market setting persists.
-    const auto ttm_of_rate = [&](double rate) {
-        MarketConditions perturbed = market;
-        perturbed.setCapacityFactor(process, rate / max_rate.value());
-        return _model.evaluate(design, n_chips, perturbed).total().value();
-    };
-    return centralDifference(ttm_of_rate, current_rate,
-                             _options.derivative_rel_step);
+    const TtmResult result = _model.evaluate(design, n_chips, market);
+    const NodeFabDetail& node = result.nodeDetail(process);
+    if (!(node.fabTime() == result.fab_time))
+        return 0.0;
+    const double slope = nodeSlope(node);
+    return -(bottleneckCount(result) > 1 ? slope * 0.5 : slope);
 }
 
 double
 CasModel::rawCas(const ChipDesign& design, double n_chips,
                  const MarketConditions& market) const
 {
-    double slope_sum = 0.0;
-    for (const std::string& process : design.processNodes())
-        slope_sum += std::fabs(dTtmDMu(design, n_chips, market, process));
-    finiteOr(slope_sum, DiagCode::NonFiniteCas,
-             [&] { return "CAS slope sum of design '" + design.name + "'"; });
-    TTMCAS_REQUIRE(slope_sum > 0.0,
-                   "TTM of design '" + design.name +
-                       "' is insensitive to every node's production rate; "
-                       "CAS is unbounded");
-    return 1.0 / slope_sum;
+    return rawCasOf(design, _model.evaluate(design, n_chips, market));
 }
 
 double
@@ -107,10 +130,11 @@ CasModel::sweepPoints(const ChipDesign& design, double n_chips,
         MarketConditions market = base;
         for (const std::string& process : design.processNodes())
             market.setCapacityFactor(process, fractions[i]);
+        const TtmResult result = _model.evaluate(design, n_chips, market);
         CasPoint point;
         point.capacity_fraction = fractions[i];
-        point.ttm = _model.evaluate(design, n_chips, market).total();
-        point.cas = cas(design, n_chips, market);
+        point.ttm = result.total();
+        point.cas = rawCasOf(design, result) / _options.normalization;
         return point;
     };
     if (compiled.has_value()) {
@@ -121,7 +145,6 @@ CasModel::sweepPoints(const ChipDesign& design, double n_chips,
             ttm.resize(e - b);
             cas_values.resize(e - b);
             compiled->sweepBatch(fractions.data() + b, e - b,
-                                 _options.derivative_rel_step,
                                  _options.normalization, ttm.data(),
                                  cas_values.data(), ok);
             for (std::size_t j = 0; j < e - b; ++j)

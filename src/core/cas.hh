@@ -8,10 +8,15 @@
  *   CAS = ( sum_{p in d} | dTTM(c, d, n, p) / dmuW(p) | )^(-1)
  *
  * The derivative of time-to-market with respect to each used node's
- * wafer production rate is evaluated numerically (central difference on
- * the effective rate), the magnitudes are summed over every process
- * node the design uses, and the inverse is taken so a *higher* CAS
- * means a more agile (less production-bottlenecked) architecture.
+ * effective wafer rate muW(p) is taken in closed form: TTM depends on
+ * muW(p) only through node p's fab time (Q_p + W_p) / muW(p) + L_fab
+ * inside the max over nodes (Eq. 3-5), so |dTTM/dmuW(p)| is
+ * (Q_p + W_p) / muW(p)^2 at the fab bottleneck and 0 elsewhere. At an
+ * exact tie for the bottleneck the max has a kink; the slope there is
+ * the h -> 0 limit of a central difference, half of each tied node's
+ * slope. The magnitudes are summed over every process node the design
+ * uses, and the inverse is taken so a *higher* CAS means a more agile
+ * (less production-bottlenecked) architecture.
  *
  * Raw CAS carries units of wafers/week^2. The paper plots "normalized
  * wafers/week^2"; we divide by a single fixed constant
@@ -40,14 +45,20 @@ struct CasPoint
     double cas = 0.0;               ///< normalized CAS
 };
 
+/**
+ * Eq. 8's slope sum, sum_p |dTTM/dmuW(p)| in weeks per (wafer/week)^2,
+ * of one TtmModel evaluation: each bottleneck node's
+ * (queue_time + wafers / rate) / rate from its NodeFabDetail, halved
+ * when more than one node ties for the maximum fab time.
+ */
+double rateSlopeSum(const TtmResult& result);
+
 /** Evaluates Eq. 8 on top of a TtmModel. */
 class CasModel
 {
   public:
     struct Options
     {
-        /** Relative step of the central finite difference. */
-        double derivative_rel_step = 1e-3;
         /** Divisor applied to raw CAS (see kCasNormalization). */
         double normalization = kCasNormalization;
         /**
@@ -59,7 +70,7 @@ class CasModel
         EvalPath eval_path = EvalPath::kBatch;
     };
 
-    /** Build with default options (1e-3 step, paper normalization). */
+    /** Build with default options (paper normalization, batch path). */
     explicit CasModel(TtmModel model);
 
     CasModel(TtmModel model, Options options);
@@ -68,8 +79,10 @@ class CasModel
 
     /**
      * dTTM/dmuW for one node of the design, in weeks per (wafer/week),
-     * evaluated at the market's current effective rate. Negative in
-     * normal conditions (more capacity, less time).
+     * at the market's current effective rate, from one evaluation:
+     * -(Q + W) / muW^2 when the node is the fab bottleneck, half that
+     * at an exact tie for the bottleneck, 0 otherwise. Throws
+     * ModelError when the design has no die on @p process.
      */
     double dTtmDMu(const ChipDesign& design, double n_chips,
                    const MarketConditions& market,

@@ -448,7 +448,6 @@ EnsembleRunner::evaluatePaths(const ChipDesign& design, double n_chips,
     const std::optional<CompiledDesign> compiled =
         CompiledDesign::tryCompile(design, _db, _model_options,
                                    base_market, n_chips);
-    const CasModel::Options cas_options;
     std::map<std::string, double> queue_weeks;
     for (const auto& [node, weeks] : base_market.queueWeeksByNode())
         queue_weeks.emplace(node, weeks.value());
@@ -518,8 +517,8 @@ EnsembleRunner::evaluatePaths(const ChipDesign& design, double n_chips,
                         ? plan.base_factor[s] * ws.mean_capacity[s]
                         : plan.base_factor[s]);
             compiled_ok = compiled->casOne(
-                CompiledDesign::kNominal, cas_options.derivative_rel_step,
-                cas_options.normalization, ws.capacity_factors.data(), &cas);
+                CompiledDesign::kNominal, kCasNormalization,
+                ws.capacity_factors.data(), &cas);
         }
         if (!compiled_ok)
             cas = cas_model.cas(

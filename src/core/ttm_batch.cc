@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <numbers>
+#include <type_traits>
 
 #include "core/yield.hh"
 #include "support/metrics.hh"
@@ -62,6 +63,17 @@ recordBatch(std::size_t n, std::chrono::steady_clock::duration elapsed)
     nsPerSampleHistogram().record(ns);
 }
 
+/**
+ * Eq. 8 from a fab phase's slope sum, as CasModel::cas computes it;
+ * false where its finiteness and positivity checks would throw.
+ */
+bool
+casFromSlope(double slope_sum, double normalization, double* out)
+{
+    *out = (1.0 / slope_sum) / normalization;
+    return std::isfinite(slope_sum) && slope_sum > 0.0;
+}
+
 /** Factor column indices, matching uncertainty.hh's UncertainInput. */
 enum : std::size_t
 {
@@ -98,16 +110,10 @@ struct CompiledDesign::Workspace
     std::vector<double> pack;    ///< total packaging weeks
     std::vector<double> worst;   ///< running max fab time (fabPhase)
     std::vector<unsigned char> ok;
-    // casOne scratch: per-process capacity factors (length P).
+    std::vector<double> slope;       ///< |dTTM/dmuW| sum (casBatch)
+    std::vector<unsigned char> tied; ///< bottleneck tie seen (fabPhase)
+    // sweepBatch scratch: per-process capacity factors (length P).
     std::vector<double> caps;
-    // casBatch scratch (length n each).
-    std::vector<double> cap_plus;  ///< per-lane perturbed-up factor
-    std::vector<double> cap_minus; ///< per-lane perturbed-down factor
-    std::vector<double> hstep;     ///< per-lane central-difference step
-    std::vector<double> slope;     ///< per-lane running |dTTM/dmuW| sum
-    std::vector<double> ttm_a;     ///< perturbed-up totals
-    std::vector<double> ttm_b;     ///< perturbed-down totals
-    std::vector<unsigned char> ok2;
 
     void
     resize(std::size_t n, std::size_t processes)
@@ -125,14 +131,9 @@ struct CompiledDesign::Workspace
         pack.resize(n);
         worst.resize(n);
         ok.resize(n);
-        caps.resize(processes);
-        cap_plus.resize(n);
-        cap_minus.resize(n);
-        hstep.resize(n);
         slope.resize(n);
-        ttm_a.resize(n);
-        ttm_b.resize(n);
-        ok2.resize(n);
+        tied.resize(n);
+        caps.resize(processes);
     }
 };
 
@@ -427,7 +428,7 @@ void
 CompiledDesign::fabPhase(const std::array<const double*, 6>& factors,
                          std::size_t n, Workspace& ws,
                          const double* capacity_factors, double* out,
-                         unsigned char* ok) const
+                         unsigned char* ok, double* slope) const
 {
     const double* f_mu = factors[kMuW];
     const double* f_lfab = factors[kLfab];
@@ -438,79 +439,56 @@ CompiledDesign::fabPhase(const std::array<const double*, 6>& factors,
     // Eq. 3/4/5 per node: effective rate, queue drain, production
     // time; the fab phase is the max over nodes with the scalar
     // first-wins tie-breaking (p == 0 seeds, strictly-greater wins).
+    // The slope terms follow rateSlopeSum's op order on the same
+    // values: (queue_time + wafers / rate) / rate. The scan is
+    // unswitched on the slope output so the TTM-only kernels keep the
+    // plain running max.
     double* worst = ws.worst.data();
-    for (std::size_t p = 0; p < _nodes.size(); ++p) {
-        const CompiledNode& node = _nodes[p];
-        const double cap = capacity_factors != nullptr
-                               ? capacity_factors[p]
-                               : node.capacity_factor;
-        const double* wafers = ws.wafers.data() + p * n;
-        for (std::size_t i = 0; i < n; ++i) {
-            const double max_rate =
-                ((node.kwpm * f_mu[i]) * 1000.0) / units::weeks_per_month;
-            const double rate = max_rate * cap;
-            ok[i] &= static_cast<unsigned char>(rate > 0.0);
-            double queue_wafers = node.queue_weeks * max_rate;
-            if (node.has_queue_extra)
-                queue_wafers += node.queue_extra_wafers;
-            const double queue_time = queue_wafers / rate;
-            const double production_time =
-                (wafers[i] / rate) + node.lfab * f_lfab[i];
-            const double fab = queue_time + production_time;
-            if (p == 0)
-                worst[i] = fab;
-            else
-                worst[i] = fab > worst[i] ? fab : worst[i];
+    unsigned char* tied = ws.tied.data();
+    const auto scan = [&](auto with_slope) {
+        for (std::size_t p = 0; p < _nodes.size(); ++p) {
+            const CompiledNode& node = _nodes[p];
+            const double cap = capacity_factors != nullptr
+                                   ? capacity_factors[p]
+                                   : node.capacity_factor;
+            const double* wafers = ws.wafers.data() + p * n;
+            for (std::size_t i = 0; i < n; ++i) {
+                const double max_rate = ((node.kwpm * f_mu[i]) * 1000.0) /
+                                        units::weeks_per_month;
+                const double rate = max_rate * cap;
+                ok[i] &= static_cast<unsigned char>(rate > 0.0);
+                double queue_wafers = node.queue_weeks * max_rate;
+                if (node.has_queue_extra)
+                    queue_wafers += node.queue_extra_wafers;
+                const double queue_time = queue_wafers / rate;
+                const double drain = wafers[i] / rate;
+                const double production_time =
+                    drain + node.lfab * f_lfab[i];
+                const double fab = queue_time + production_time;
+                if constexpr (decltype(with_slope)::value) {
+                    const double node_slope = (queue_time + drain) / rate;
+                    if (p == 0 || fab > worst[i]) {
+                        slope[i] = node_slope;
+                        tied[i] = 0;
+                    } else if (fab == worst[i]) {
+                        slope[i] += node_slope;
+                        tied[i] = 1;
+                    }
+                }
+                if (p == 0)
+                    worst[i] = fab;
+                else
+                    worst[i] = fab > worst[i] ? fab : worst[i];
+            }
         }
-    }
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const double total =
-            ((_design_time + ws.tapeout[i]) + worst[i]) + ws.pack[i];
-        ok[i] &= static_cast<unsigned char>(std::isfinite(total));
-        out[i] = total;
-    }
-}
-
-void
-CompiledDesign::fabPhaseVarying(const std::array<const double*, 6>& factors,
-                                std::size_t n, Workspace& ws,
-                                std::size_t varying_process,
-                                const double* varying_caps, double* out,
-                                unsigned char* ok) const
-{
-    const double* f_mu = factors[kMuW];
-    const double* f_lfab = factors[kLfab];
-
-    for (std::size_t i = 0; i < n; ++i)
-        ok[i] = ws.ok[i];
-
-    // Identical to fabPhase except that one node's capacity factor is
-    // a per-lane column; the per-lane op chain is unchanged (the
-    // factor's *origin* cannot affect bit patterns).
-    double* worst = ws.worst.data();
-    for (std::size_t p = 0; p < _nodes.size(); ++p) {
-        const CompiledNode& node = _nodes[p];
-        const bool varying = p == varying_process;
-        const double cap_fixed = ws.caps[p];
-        const double* wafers = ws.wafers.data() + p * n;
+    };
+    if (slope == nullptr) {
+        scan(std::false_type{});
+    } else {
+        scan(std::true_type{});
         for (std::size_t i = 0; i < n; ++i) {
-            const double cap = varying ? varying_caps[i] : cap_fixed;
-            const double max_rate =
-                ((node.kwpm * f_mu[i]) * 1000.0) / units::weeks_per_month;
-            const double rate = max_rate * cap;
-            ok[i] &= static_cast<unsigned char>(rate > 0.0);
-            double queue_wafers = node.queue_weeks * max_rate;
-            if (node.has_queue_extra)
-                queue_wafers += node.queue_extra_wafers;
-            const double queue_time = queue_wafers / rate;
-            const double production_time =
-                (wafers[i] / rate) + node.lfab * f_lfab[i];
-            const double fab = queue_time + production_time;
-            if (p == 0)
-                worst[i] = fab;
-            else
-                worst[i] = fab > worst[i] ? fab : worst[i];
+            if (tied[i] != 0)
+                slope[i] *= 0.5;
         }
     }
 
@@ -557,92 +535,44 @@ CompiledDesign::ttmOne(const Factors& factors, double* out) const
     return ok != 0;
 }
 
+void
+CompiledDesign::casBatch(const std::array<const double*, 6>& factors,
+                         std::size_t n, double normalization,
+                         const double* capacity_factors, double* out,
+                         unsigned char* ok) const
+{
+    if (n == 0)
+        return;
+    Workspace& ws = workspace();
+    diePhase(factors, n, ws);
+    // out holds each lane's TTM until its CAS replaces it.
+    fabPhase(factors, n, ws, capacity_factors, out, ok, ws.slope.data());
+
+    std::uint64_t evaluations = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        ok[i] &= static_cast<unsigned char>(
+            casFromSlope(ws.slope[i], normalization, &out[i]));
+        evaluations += ok[i];
+    }
+    evaluationsCounter().add(evaluations);
+}
+
 bool
-CompiledDesign::casOne(const Factors& factors, double derivative_rel_step,
-                       double normalization,
+CompiledDesign::casOne(const Factors& factors, double normalization,
                        const double* capacity_factors, double* out) const
 {
     const std::array<const double*, 6> columns{
         &factors[0], &factors[1], &factors[2],
         &factors[3], &factors[4], &factors[5]};
-    Workspace& ws = workspace();
-    diePhase(columns, 1, ws);
-    if (ws.ok[0] == 0)
-        return false;
-    for (std::size_t p = 0; p < _nodes.size(); ++p) {
-        ws.caps[p] = capacity_factors != nullptr
-                         ? capacity_factors[p]
-                         : _nodes[p].capacity_factor;
-    }
-    return casAfterDiePhase(columns, ws, derivative_rel_step,
-                            normalization, out);
-}
-
-bool
-CompiledDesign::casAfterDiePhase(const std::array<const double*, 6>& columns,
-                                 Workspace& ws, double derivative_rel_step,
-                                 double normalization, double* out) const
-{
-    // The die phase does not depend on capacity factors, so only the
-    // fab phase re-runs per perturbation — each perturbed total is
-    // still bitwise equal to a full scalar evaluate.
-    const std::size_t processes = _nodes.size();
-    const double f_mu = columns[kMuW][0];
-    double slope_sum = 0.0;
-    std::uint64_t evaluations = 0;
-    for (std::size_t p = 0; p < processes; ++p) {
-        // dTtmDMu preconditions: a perturbable max rate and a positive
-        // current effective rate.
-        const double max_rate =
-            ((_nodes[p].kwpm * f_mu) * 1000.0) / units::weeks_per_month;
-        if (!(max_rate > 0.0))
-            return false;
-        const double current_rate = max_rate * ws.caps[p];
-        if (!(current_rate > 0.0))
-            return false;
-
-        // centralDifference step and the two perturbed evaluations,
-        // expressed as capacity factors exactly as CasModel does.
-        const double h =
-            std::max(std::fabs(current_rate), 1.0) * derivative_rel_step;
-        const double factor_plus = (current_rate + h) / max_rate;
-        const double factor_minus = (current_rate - h) / max_rate;
-        // setCapacityFactor rejects negative (or NaN) factors.
-        if (!(factor_plus >= 0.0) || !(factor_minus >= 0.0))
-            return false;
-
-        const double saved = ws.caps[p];
-        double ttm_plus = 0.0;
-        double ttm_minus = 0.0;
-        unsigned char ok = 0;
-        ws.caps[p] = factor_plus;
-        fabPhase(columns, 1, ws, ws.caps.data(), &ttm_plus, &ok);
-        if (ok == 0)
-            return false;
-        ++evaluations;
-        ws.caps[p] = factor_minus;
-        fabPhase(columns, 1, ws, ws.caps.data(), &ttm_minus, &ok);
-        if (ok == 0)
-            return false;
-        ++evaluations;
-        ws.caps[p] = saved;
-
-        const double derivative = (ttm_plus - ttm_minus) / (2.0 * h);
-        slope_sum += std::fabs(derivative);
-    }
-
-    if (!std::isfinite(slope_sum) || !(slope_sum > 0.0))
-        return false;
-    *out = (1.0 / slope_sum) / normalization;
-    evaluationsCounter().add(evaluations);
-    return true;
+    unsigned char ok = 0;
+    casBatch(columns, 1, normalization, capacity_factors, out, &ok);
+    return ok != 0;
 }
 
 void
 CompiledDesign::sweepBatch(const double* fractions, std::size_t n,
-                           double derivative_rel_step, double normalization,
-                           double* ttm_out, double* cas_out,
-                           unsigned char* ok) const
+                           double normalization, double* ttm_out,
+                           double* cas_out, unsigned char* ok) const
 {
     if (n == 0)
         return;
@@ -651,8 +581,8 @@ CompiledDesign::sweepBatch(const double* fractions, std::size_t n,
         &kNominal[3], &kNominal[4], &kNominal[5]};
     Workspace& ws = workspace();
     // Every point shares the nominal factors, so one die phase serves
-    // the whole call; each point re-runs only its fab phases, which is
-    // what ttmBatch and casOne compute after their own die phase.
+    // the whole call; each point re-runs only its fab phase, which
+    // gives its TTM and its CAS slope at once.
     diePhase(columns, 1, ws);
     const bool die_ok = ws.ok[0] != 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -660,92 +590,13 @@ CompiledDesign::sweepBatch(const double* fractions, std::size_t n,
         if (!die_ok)
             continue;
         ws.caps.assign(_nodes.size(), fractions[i]);
-        unsigned char lane = 0;
-        fabPhase(columns, 1, ws, ws.caps.data(), &ttm_out[i], &lane);
-        if (lane == 0)
-            continue;
-        evaluationsCounter().increment();
-        ok[i] = static_cast<unsigned char>(casAfterDiePhase(
-            columns, ws, derivative_rel_step, normalization, &cas_out[i]));
+        double slope = 0.0;
+        fabPhase(columns, 1, ws, ws.caps.data(), &ttm_out[i], &ok[i],
+                 &slope);
+        ok[i] &= static_cast<unsigned char>(
+            casFromSlope(slope, normalization, &cas_out[i]));
+        evaluationsCounter().add(ok[i]);
     }
-}
-
-void
-CompiledDesign::casBatch(const std::array<const double*, 6>& factors,
-                         std::size_t n, double derivative_rel_step,
-                         double normalization,
-                         const double* capacity_factors, double* out,
-                         unsigned char* ok) const
-{
-    if (n == 0)
-        return;
-    Workspace& ws = workspace();
-    diePhase(factors, n, ws);
-
-    const std::size_t processes = _nodes.size();
-    for (std::size_t p = 0; p < processes; ++p) {
-        ws.caps[p] = capacity_factors != nullptr
-                         ? capacity_factors[p]
-                         : _nodes[p].capacity_factor;
-    }
-
-    const double* f_mu = factors[kMuW];
-    for (std::size_t i = 0; i < n; ++i)
-        ws.slope[i] = 0.0;
-
-    for (std::size_t p = 0; p < processes; ++p) {
-        const CompiledNode& node = _nodes[p];
-        const double cap = ws.caps[p];
-
-        // Per-lane step and perturbed factors, with casOne's exact
-        // predicates: a perturbable max rate, a positive current rate,
-        // and non-negative perturbed capacity factors. A lane that
-        // fails any of them is cleared; its column values are garbage
-        // the varying fab phase tolerates (it re-checks rate > 0).
-        for (std::size_t i = 0; i < n; ++i) {
-            const double max_rate =
-                ((node.kwpm * f_mu[i]) * 1000.0) / units::weeks_per_month;
-            const double current_rate = max_rate * cap;
-            const double h = std::max(std::fabs(current_rate), 1.0) *
-                             derivative_rel_step;
-            const double factor_plus = (current_rate + h) / max_rate;
-            const double factor_minus = (current_rate - h) / max_rate;
-            ws.hstep[i] = h;
-            ws.cap_plus[i] = factor_plus;
-            ws.cap_minus[i] = factor_minus;
-            ws.ok[i] &= static_cast<unsigned char>(
-                max_rate > 0.0 && current_rate > 0.0 &&
-                factor_plus >= 0.0 && factor_minus >= 0.0);
-        }
-
-        fabPhaseVarying(factors, n, ws, p, ws.cap_plus.data(),
-                        ws.ttm_a.data(), ws.ok2.data());
-        for (std::size_t i = 0; i < n; ++i)
-            ws.ok[i] &= ws.ok2[i];
-        fabPhaseVarying(factors, n, ws, p, ws.cap_minus.data(),
-                        ws.ttm_b.data(), ws.ok2.data());
-        for (std::size_t i = 0; i < n; ++i)
-            ws.ok[i] &= ws.ok2[i];
-
-        for (std::size_t i = 0; i < n; ++i) {
-            const double derivative =
-                (ws.ttm_a[i] - ws.ttm_b[i]) / (2.0 * ws.hstep[i]);
-            ws.slope[i] += std::fabs(derivative);
-        }
-    }
-
-    std::uint64_t evaluations = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const double slope_sum = ws.slope[i];
-        unsigned char lane = ws.ok[i];
-        lane &= static_cast<unsigned char>(std::isfinite(slope_sum) &&
-                                           slope_sum > 0.0);
-        out[i] = (1.0 / slope_sum) / normalization;
-        ok[i] = lane;
-        if (lane != 0)
-            evaluations += 2 * static_cast<std::uint64_t>(processes);
-    }
-    evaluationsCounter().add(evaluations);
 }
 
 void

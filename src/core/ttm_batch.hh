@@ -138,20 +138,27 @@ class CompiledDesign
     bool ttmOne(const Factors& factors, double* out) const;
 
     /**
-     * Single-sample normalized CAS (Eq. 8): central-difference TTM
-     * derivative against each used node's effective wafer rate, exactly
-     * replicating CasModel::cas over the scaled model. The die-phase
-     * work (areas, yields, wafer counts, tapeout/packaging sums) is
-     * factor-only and computed once; only the fab phase is re-run per
-     * perturbation, which keeps each perturbed evaluation bitwise
-     * equal to a full scalar evaluate. @p capacity_factors (length
-     * processCount(), indexed in processNodes order) replaces the
-     * baked market capacity factors; null keeps them. Returns false
-     * (caller falls back) when any scalar REQUIRE would fire.
+     * Batch normalized CAS (Eq. 8) over @p n factor vectors given as
+     * six SoA columns: one die phase and one fab phase, whose slope
+     * output is the closed-form sum of |dTTM/dmuW| (see fabPhase), so
+     * each lane is (1 / slope sum) / @p normalization, bitwise equal
+     * to CasModel::cas over the scaled model (ctest -L kernel).
+     * @p capacity_factors (length processCount(), indexed in
+     * processNodes order) replaces the baked market capacity factors;
+     * null keeps them. ok/out behave as in ttmBatch: a cleared lane
+     * must be re-run through the scalar chain.
      */
-    bool casOne(const Factors& factors, double derivative_rel_step,
-                double normalization, const double* capacity_factors,
-                double* out) const;
+    void casBatch(const std::array<const double*, 6>& factors,
+                  std::size_t n, double normalization,
+                  const double* capacity_factors, double* out,
+                  unsigned char* ok) const;
+
+    /**
+     * Single-sample wrapper over casBatch (batch of one). Returns
+     * false (caller falls back) when any scalar REQUIRE would fire.
+     */
+    bool casOne(const Factors& factors, double normalization,
+                const double* capacity_factors, double* out) const;
 
     /**
      * Capacity-sweep kernel at the nominal (all-ones) factors: for
@@ -159,33 +166,13 @@ class CompiledDesign
      * the TTM total and the normalized CAS with every process's
      * capacity factor at fractions[i], bitwise equal to the scalar
      * TtmModel::evaluate and CasModel::cas under that market. The
-     * factor-only die phase runs once per call. ok[i] behaves as in
-     * ttmBatch: a cleared point must be re-run through the scalar
-     * chain.
+     * factor-only die phase runs once per call, then one fab phase
+     * per point gives both values. ok[i] behaves as in ttmBatch: a
+     * cleared point must be re-run through the scalar chain.
      */
     void sweepBatch(const double* fractions, std::size_t n,
-                    double derivative_rel_step, double normalization,
-                    double* ttm_out, double* cas_out,
-                    unsigned char* ok) const;
-
-    /**
-     * Batch normalized CAS (Eq. 8) over @p n factor vectors given as
-     * six SoA columns — the kernel behind sweep workloads whose CAS
-     * axis would otherwise pay casOne's per-call die phase N times.
-     * The die phase runs once for all lanes; per process node, the
-     * per-lane central-difference step (which depends on each lane's
-     * wafer-rate factor) is materialized as a capacity-factor column
-     * and the fab phase re-runs twice with that one node's factor
-     * varying per lane, so every lane's floating-point chain is
-     * identical to casOne's — and therefore to the scalar path
-     * (ctest -L kernel pins all three). ok/out behave as in ttmBatch:
-     * a cleared lane must be re-run through the scalar chain.
-     * @p capacity_factors as in casOne.
-     */
-    void casBatch(const std::array<const double*, 6>& factors,
-                  std::size_t n, double derivative_rel_step,
-                  double normalization, const double* capacity_factors,
-                  double* out, unsigned char* ok) const;
+                    double normalization, double* ttm_out,
+                    double* cas_out, unsigned char* ok) const;
 
     /**
      * Batch wafer-demand kernel N_W(d, n, p) at the design process
@@ -252,35 +239,18 @@ class CompiledDesign
      * Fab phase + total under the given per-process capacity factors
      * (null = baked): rates, queue/production times, first-wins max
      * over nodes, Eq. 1 total. Reads the diePhase columns; writes
-     * out/ok.
+     * out/ok. When @p slope is not null, slope[i] receives Eq. 8's
+     * sum of |dTTM/dmuW| over the nodes in closed form: TTM depends
+     * on a node's effective rate mu only through its fab time
+     * (Q + W) / mu + L_fab, so the slope is (Q + W) / mu^2 at the
+     * bottleneck and 0 elsewhere. At an exact tie for the maximum it
+     * is the h -> 0 limit of a central difference, half of each tied
+     * node's slope.
      */
     void fabPhase(const std::array<const double*, 6>& factors,
                   std::size_t n, Workspace& ws,
                   const double* capacity_factors, double* out,
-                  unsigned char* ok) const;
-
-    /**
-     * casOne after its die phase: @p columns hold one factor vector,
-     * the workspace holds its die phase and, in ws.caps, the
-     * per-process capacity factors (restored on a true return).
-     */
-    bool casAfterDiePhase(const std::array<const double*, 6>& columns,
-                          Workspace& ws, double derivative_rel_step,
-                          double normalization, double* out) const;
-
-    /**
-     * fabPhase with one process's capacity factor varying per lane:
-     * process @p varying_process reads its factor from the per-lane
-     * column @p varying_caps, every other process uses the shared
-     * ws.caps value. Each lane's op chain matches a fabPhase call
-     * whose caps array held that lane's value — the casBatch
-     * workhorse.
-     */
-    void fabPhaseVarying(const std::array<const double*, 6>& factors,
-                         std::size_t n, Workspace& ws,
-                         std::size_t varying_process,
-                         const double* varying_caps, double* out,
-                         unsigned char* ok) const;
+                  unsigned char* ok, double* slope = nullptr) const;
 
     std::vector<CompiledNode> _nodes; ///< processNodes() order
     std::vector<CompiledDie> _dies;   ///< design die order

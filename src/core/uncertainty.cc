@@ -245,8 +245,8 @@ UncertaintyAnalysis::sampleCas(const ChipDesign& design, double n_chips,
                                const MarketConditions& market,
                                const Options& options) const
 {
-    // As in sampleTtm; casWithFactors uses CasModel's default options,
-    // and so does the batch kernel.
+    // As in sampleTtm; casWithFactors uses CasModel's default
+    // normalization, and so does the batch kernel.
     const auto sample = [&](Rng& rng) {
         const InputFactors factors = drawFactors(rng, options.band);
         return casWithFactors(design, n_chips, market, factors);
@@ -257,12 +257,10 @@ UncertaintyAnalysis::sampleCas(const ChipDesign& design, double n_chips,
                                               market, n_chips);
     if (!compiled.has_value())
         return drawSamples(options, "sampleCas", sample);
-    const CasModel::Options cas_options;
     const auto chunk = [&](const Rng* streams, std::size_t n, double* out,
                            unsigned char* ok) {
         compiled->casBatch(factorColumns(streams, n, options.band), n,
-                           cas_options.derivative_rel_step,
-                           cas_options.normalization, nullptr, out, ok);
+                           kCasNormalization, nullptr, out, ok);
     };
     return drawSamples(options, "sampleCas", sample, chunk);
 }

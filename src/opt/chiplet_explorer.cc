@@ -198,7 +198,6 @@ ChipletExplorer::run(const ChipDesign& base, double n_chips,
     const std::size_t count = spec.candidateCount();
     const TtmModel model(_db, _model_options);
     CasModel::Options cas_options;
-    cas_options.derivative_rel_step = options.derivative_rel_step;
     cas_options.normalization = options.cas_normalization;
     cas_options.eval_path = options.eval_path;
     const CasModel cas_model(TtmModel(_db, _model_options), cas_options);
@@ -236,9 +235,7 @@ ChipletExplorer::run(const ChipDesign& base, double n_chips,
         double cas = 0.0;
         if (!compiled.has_value() ||
             !compiled->casOne(CompiledDesign::kNominal,
-                              options.derivative_rel_step,
-                              options.cas_normalization, nullptr,
-                              &cas)) {
+                              options.cas_normalization, nullptr, &cas)) {
             cas = cas_model.cas(fab, volume, market);
         }
         value.cas = finiteOr(cas, DiagCode::NonFiniteCas,

@@ -11,7 +11,7 @@
  * reports the 3-D Pareto frontier over
  *
  *   TTM   (weeks, minimize)    Eq. 1-7 via core/ttm_batch
- *   CAS   (normalized, maximize)  Eq. 8 via casOne/casBatch
+ *   CAS   (normalized, maximize)  Eq. 8 via casOne
  *   cost  ($, minimize)        redundancy-aware chiplet decomposition
  *                              (econ/cost_model evaluateChiplet)
  *
@@ -165,8 +165,6 @@ struct ChipletExplorerOptions : BatchControl
      * so resumed runs must match their parent.
      */
     std::uint64_t seed = 2023;
-    /** Central-difference step of the CAS axis (Eq. 8). */
-    double derivative_rel_step = 1e-3;
     /** CAS normalization divisor (paper scale). */
     double cas_normalization = kCasNormalization;
     /**

@@ -1,11 +1,9 @@
 #include "opt/split_optimizer.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "stats/batch_driver.hh"
 #include "support/error.hh"
-#include "support/mathutil.hh"
 #include "support/metrics.hh"
 #include "support/trace.hh"
 
@@ -32,8 +30,6 @@ SplitPlanner::SplitPlanner(TtmModel model, CostModel costs, Options options)
     : _model(std::move(model)), _costs(std::move(costs)),
       _options(std::move(options))
 {
-    TTMCAS_REQUIRE(_options.derivative_rel_step > 0.0,
-                   "derivative step must be positive");
     TTMCAS_REQUIRE(_options.cas_normalization > 0.0,
                    "CAS normalization must be positive");
     TTMCAS_REQUIRE(_options.ttm_slack >= 0.0,
@@ -42,28 +38,34 @@ SplitPlanner::SplitPlanner(TtmModel model, CostModel costs, Options options)
         _options.fractions = defaultFractions();
 }
 
-double
-SplitPlanner::combinedTtmWeeks(const DesignFactory& factory, double n_chips,
-                               const std::string& primary,
-                               const std::string& secondary,
-                               double primary_fraction,
-                               const MarketConditions& market) const
+std::vector<TtmResult>
+SplitPlanner::pipelines(const DesignFactory& factory, double n_chips,
+                        const std::string& primary,
+                        const std::string& secondary,
+                        double primary_fraction,
+                        const MarketConditions& market) const
 {
     TTMCAS_REQUIRE(primary_fraction > 0.0 && primary_fraction <= 1.0,
                    "primary fraction must be in (0, 1]");
-    const double n_primary = n_chips * primary_fraction;
-    double weeks = _model.evaluate(factory(primary), n_primary, market)
-                       .total()
-                       .value();
+    std::vector<TtmResult> runs;
+    runs.push_back(_model.evaluate(factory(primary),
+                                   n_chips * primary_fraction, market));
     if (primary_fraction < 1.0) {
         TTMCAS_REQUIRE(!secondary.empty(),
                        "split plan needs a secondary node");
-        const double n_secondary = n_chips * (1.0 - primary_fraction);
-        weeks = std::max(
-            weeks, _model.evaluate(factory(secondary), n_secondary, market)
-                       .total()
-                       .value());
+        runs.push_back(_model.evaluate(factory(secondary),
+                                       n_chips * (1.0 - primary_fraction),
+                                       market));
     }
+    return runs;
+}
+
+double
+SplitPlanner::combinedTtmWeeks(const std::vector<TtmResult>& runs)
+{
+    double weeks = runs.front().total().value();
+    if (runs.size() > 1)
+        weeks = std::max(weeks, runs[1].total().value());
     return weeks;
 }
 
@@ -73,8 +75,9 @@ SplitPlanner::ttm(const DesignFactory& factory, double n_chips,
                   double primary_fraction,
                   const MarketConditions& market) const
 {
-    return Weeks(combinedTtmWeeks(factory, n_chips, primary, secondary,
-                                  primary_fraction, market));
+    return Weeks(combinedTtmWeeks(pipelines(factory, n_chips, primary,
+                                            secondary, primary_fraction,
+                                            market)));
 }
 
 Dollars
@@ -102,27 +105,24 @@ SplitPlanner::cas(const DesignFactory& factory, double n_chips,
                   double primary_fraction,
                   const MarketConditions& market) const
 {
-    std::vector<std::string> nodes{primary};
-    if (primary_fraction < 1.0)
-        nodes.push_back(secondary);
-
+    // Eq. 8 of the combined max(T_primary, T_secondary) in closed
+    // form: the binding pipeline's slope sum, and at an exact tie of
+    // the two totals the h -> 0 limit of a central difference, half of
+    // each (the rule rateSlopeSum applies to tied nodes).
+    const std::vector<TtmResult> runs =
+        pipelines(factory, n_chips, primary, secondary, primary_fraction,
+                  market);
+    const double weeks = combinedTtmWeeks(runs);
     double slope_sum = 0.0;
-    for (const std::string& process : nodes) {
-        const ProcessNode& node = _model.technology().node(process);
-        const double max_rate = node.waferRate().value();
-        TTMCAS_REQUIRE(max_rate > 0.0,
-                       "node '" + process + "' has no production");
-        const double current = market.effectiveWaferRate(node).value();
-
-        const auto ttm_of_rate = [&](double rate) {
-            MarketConditions perturbed = market;
-            perturbed.setCapacityFactor(process, rate / max_rate);
-            return combinedTtmWeeks(factory, n_chips, primary, secondary,
-                                    primary_fraction, perturbed);
-        };
-        slope_sum += std::fabs(centralDifference(
-            ttm_of_rate, current, _options.derivative_rel_step));
+    std::size_t binding = 0;
+    for (const TtmResult& run : runs) {
+        if (run.total().value() == weeks) {
+            slope_sum += rateSlopeSum(run);
+            ++binding;
+        }
     }
+    if (binding > 1)
+        slope_sum *= 0.5;
     TTMCAS_REQUIRE(slope_sum > 0.0,
                    "combined TTM is insensitive to production rates");
     return 1.0 / slope_sum / _options.cas_normalization;
@@ -166,8 +166,9 @@ SplitPlanner::optimizeCas(const DesignFactory& factory, double n_chips,
     ttm_points.nonfinite = DiagCode::NonFiniteTtm;
     ttm_points.counter = &split_points;
     ttm_points.point = [&](std::size_t i) {
-        return combinedTtmWeeks(factory, n_chips, primary, secondary,
-                                _options.fractions[i], market);
+        return combinedTtmWeeks(pipelines(factory, n_chips, primary,
+                                          secondary, _options.fractions[i],
+                                          market));
     };
     PointBatch<double> ttm_weeks = evaluatePoints(_options, ttm_points);
     double best_ttm = 0.0;

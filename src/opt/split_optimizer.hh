@@ -63,7 +63,6 @@ class SplitPlanner
      */
     struct Options : BatchControl
     {
-        double derivative_rel_step = 1e-3;
         double cas_normalization = kCasNormalization;
         /** Candidate split fractions (default 0.01..1.00 step 0.01). */
         std::vector<double> fractions;
@@ -116,11 +115,19 @@ class SplitPlanner
                                const MarketConditions& market = {}) const;
 
   private:
-    double combinedTtmWeeks(const DesignFactory& factory, double n_chips,
-                            const std::string& primary,
-                            const std::string& secondary,
-                            double primary_fraction,
-                            const MarketConditions& market) const;
+    /**
+     * The primary pipeline's evaluation at f * n chips and, for a
+     * split (f < 1), the secondary's at (1 - f) * n.
+     */
+    std::vector<TtmResult> pipelines(const DesignFactory& factory,
+                                     double n_chips,
+                                     const std::string& primary,
+                                     const std::string& secondary,
+                                     double primary_fraction,
+                                     const MarketConditions& market) const;
+
+    /** Combined TTM of @p runs: the slower pipeline binds. */
+    static double combinedTtmWeeks(const std::vector<TtmResult>& runs);
 
     TtmModel _model;
     CostModel _costs;

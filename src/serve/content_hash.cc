@@ -201,6 +201,13 @@ evalCacheKey(const ChipDesign& design, const MarketConditions& market,
     hasher.tag("has_chiplet").mix(params.chiplet != nullptr);
     if (params.chiplet != nullptr)
         mixChipletSpec(hasher, *params.chiplet);
+    // The payloads of these kinds carry CAS, whose Eq. 8 slope is now
+    // exact; a --cache-dir entry holding the old central-difference
+    // slope keys differently and is never served.
+    if (params.kernel == "mc_cas" || params.kernel == "capacity_sweep" ||
+        params.kernel == "ensemble_ttm" ||
+        params.kernel == "chiplet_pareto")
+        hasher.tag("cas_closed_form");
     return designHash(design) + "-" + marketHash(market) + "-" +
            hasher.hex();
 }

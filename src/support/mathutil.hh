@@ -36,8 +36,9 @@ double interpolate(const std::vector<double>& xs,
 /**
  * Central-difference numerical derivative of @p f at @p x.
  *
- * Uses a relative step h = max(|x|, 1) * rel_step. This is how the CAS
- * model evaluates dTTM/dmuW (paper Eq. 8).
+ * Uses a relative step h = max(|x|, 1) * rel_step. The CAS model takes
+ * dTTM/dmuW (paper Eq. 8) in closed form; this is the numeric oracle
+ * its tests and the step-size ablation check it against.
  */
 double centralDifference(const std::function<double(double)>& f, double x,
                          double rel_step = 1e-4);

@@ -1,13 +1,77 @@
 #include "core/cas.hh"
 
+#include <array>
+#include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/reference_designs.hh"
 #include "support/error.hh"
+#include "support/mathutil.hh"
 #include "tech/default_dataset.hh"
 
 namespace ttmcas {
 namespace {
+
+/**
+ * Eq. 8's slope sum by the central difference the closed form
+ * replaced: each node's effective rate perturbed by h = 1e-3 * mu
+ * through its capacity factor, every other market setting kept.
+ */
+double
+centralDifferenceSlopeSum(const TtmModel& model, const ChipDesign& design,
+                          double n_chips, const MarketConditions& market)
+{
+    double slope_sum = 0.0;
+    for (const std::string& process : design.processNodes()) {
+        const ProcessNode& node = model.technology().node(process);
+        const double max_rate = node.waferRate().value();
+        const auto ttm_of_rate = [&](double rate) {
+            MarketConditions perturbed = market;
+            perturbed.setCapacityFactor(process, rate / max_rate);
+            return model.evaluate(design, n_chips, perturbed)
+                .total()
+                .value();
+        };
+        slope_sum += std::fabs(centralDifference(
+            ttm_of_rate, market.effectiveWaferRate(node).value(), 1e-3));
+    }
+    return slope_sum;
+}
+
+/**
+ * A market whose 12nm queue backlog makes Zen 2's I/O die finish
+ * fabrication at exactly the fab time of its 7nm compute dies: the
+ * backlog is stepped one ulp at a time until the two fab times are
+ * the same double.
+ */
+MarketConditions
+tiedZen2Market(const TtmModel& model, const ChipDesign& zen, double n_chips)
+{
+    const TtmResult base = model.evaluate(zen, n_chips);
+    const double target = base.nodeDetail("7nm").fabTime().value();
+    const NodeFabDetail& io = base.nodeDetail("12nm");
+    double wafers =
+        (target - io.production_time.value()) * io.effective_rate.value();
+    MarketConditions market;
+    for (int step = 0; step < 4096; ++step) {
+        market.setQueueWafers("12nm", Wafers(wafers));
+        const double fab = model.evaluate(zen, n_chips, market)
+                               .nodeDetail("12nm")
+                               .fabTime()
+                               .value();
+        if (fab == target)
+            return market;
+        wafers = std::nextafter(
+            wafers, fab < target ? std::numeric_limits<double>::infinity()
+                                 : 0.0);
+    }
+    ADD_FAILURE() << "no 12nm backlog ties the 7nm fab time";
+    return market;
+}
 
 class CasModelTest : public ::testing::Test
 {
@@ -33,14 +97,14 @@ TEST_F(CasModelTest, DerivativeIsNegative)
 TEST_F(CasModelTest, DerivativeMatchesAnalyticSingleNodeForm)
 {
     // With no queue, TTM depends on mu only through N_W/mu, so
-    // dTTM/dmu = -N_W / mu^2 exactly.
+    // dTTM/dmu = -N_W / mu^2 exactly, here in the model's op order.
     const ChipDesign design = designs::a11("7nm");
     const TtmModel& model = cas.ttmModel();
     const double wafers = model.waferDemand(design, 10e6, "7nm").value();
     const double mu = model.technology().node("7nm").waferRate().value();
-    const double expected = -wafers / (mu * mu);
-    EXPECT_NEAR(cas.dTtmDMu(design, 10e6, MarketConditions{}, "7nm"),
-                expected, std::abs(expected) * 1e-3);
+    const double expected = -((wafers / mu) / mu);
+    EXPECT_EQ(cas.dTtmDMu(design, 10e6, MarketConditions{}, "7nm"),
+              expected);
 }
 
 TEST_F(CasModelTest, RawCasIsInverseOfSlopeSum)
@@ -48,7 +112,7 @@ TEST_F(CasModelTest, RawCasIsInverseOfSlopeSum)
     const ChipDesign design = designs::a11("7nm");
     const double slope =
         cas.dTtmDMu(design, 10e6, MarketConditions{}, "7nm");
-    EXPECT_NEAR(cas.rawCas(design, 10e6), 1.0 / std::abs(slope), 1e-3);
+    EXPECT_EQ(cas.rawCas(design, 10e6), 1.0 / std::abs(slope));
 }
 
 TEST_F(CasModelTest, NormalizationOnlyScales)
@@ -81,20 +145,133 @@ TEST_F(CasModelTest, MultiNodeDesignSumsSlopes)
     const MarketConditions market;
     const double s7 = std::abs(cas.dTtmDMu(zen, 10e6, market, "7nm"));
     const double s12 = std::abs(cas.dTtmDMu(zen, 10e6, market, "12nm"));
-    EXPECT_NEAR(cas.rawCas(zen, 10e6, market), 1.0 / (s7 + s12), 1e-2);
+    EXPECT_EQ(cas.rawCas(zen, 10e6, market), 1.0 / (s7 + s12));
 }
 
 TEST_F(CasModelTest, NonBottleneckNodeContributesNoSlope)
 {
     // At full capacity the 12nm I/O die finishes fabrication well before
-    // the 7nm compute dies (Section 6.5): small 12nm perturbations do
-    // not move the packaging synchronization point.
+    // the 7nm compute dies (Section 6.5): 12nm capacity does not move
+    // the packaging synchronization point.
     const ChipDesign zen = designs::zen2(designs::Zen2Config::Original);
-    const double s12 =
-        std::abs(cas.dTtmDMu(zen, 10e6, MarketConditions{}, "12nm"));
-    const double s7 =
-        std::abs(cas.dTtmDMu(zen, 10e6, MarketConditions{}, "7nm"));
-    EXPECT_LT(s12, s7 * 1e-3);
+    EXPECT_EQ(cas.dTtmDMu(zen, 10e6, MarketConditions{}, "12nm"), 0.0);
+    EXPECT_LT(cas.dTtmDMu(zen, 10e6, MarketConditions{}, "7nm"), 0.0);
+}
+
+TEST_F(CasModelTest, ClosedFormMatchesCentralDifference)
+{
+    // The old central difference (h = 1e-3 mu) carries a (h/mu)^2 =
+    // 1e-6 truncation error; away from a bottleneck switch it is the
+    // only difference from the closed form.
+    const TtmModel& model = cas.ttmModel();
+    const std::vector<ChipDesign> designs{
+        designs::a11("7nm"),
+        designs::zen2(designs::Zen2Config::Original),
+        designs::zen2(designs::Zen2Config::OriginalWithInterposer),
+        designs::syntheticChipA()};
+    std::size_t points = 0;
+    for (const ChipDesign& design : designs) {
+        for (const bool queued : {false, true}) {
+            for (int percent = 1; percent <= 100; ++percent) {
+                MarketConditions market;
+                market.setGlobalCapacityFactor(percent / 100.0);
+                if (queued) {
+                    for (const std::string& process : design.processNodes())
+                        market.setQueueWeeks(process, Weeks(2.0));
+                }
+                const double exact = cas.rawCas(design, 10e6, market);
+                const double numeric =
+                    1.0 /
+                    centralDifferenceSlopeSum(model, design, 10e6, market);
+                EXPECT_NEAR(numeric / exact, 1.0, 2e-6)
+                    << design.name << " at " << percent << "%"
+                    << (queued ? " queued" : "");
+                ++points;
+            }
+        }
+    }
+    EXPECT_GE(points, 400u);
+}
+
+TEST_F(CasModelTest, ExactBottleneckTieTakesHalfOfEachSlope)
+{
+    const TtmModel& model = cas.ttmModel();
+    const ChipDesign zen = designs::zen2(designs::Zen2Config::Original);
+    const double n = 10e6;
+    const MarketConditions tied = tiedZen2Market(model, zen, n);
+    const TtmResult result = model.evaluate(zen, n, tied);
+    ASSERT_EQ(result.nodeDetail("7nm").fabTime(),
+              result.nodeDetail("12nm").fabTime());
+
+    // Each node's one-sided slope, in the model's op order.
+    const auto slope = [&](const std::string& process) {
+        const NodeFabDetail& node = result.nodeDetail(process);
+        const double rate = node.effective_rate.value();
+        return (node.queue_time.value() + node.wafers.value() / rate) /
+               rate;
+    };
+    const double s7 = slope("7nm");
+    const double s12 = slope("12nm");
+    ASSERT_NE(s7, s12);
+    EXPECT_EQ(cas.dTtmDMu(zen, n, tied, "7nm"), -(s7 * 0.5));
+    EXPECT_EQ(cas.dTtmDMu(zen, n, tied, "12nm"), -(s12 * 0.5));
+    const double raw = 1.0 / ((s7 + s12) * 0.5);
+    EXPECT_EQ(cas.rawCas(zen, n, tied), raw);
+
+    // The rule is the h -> 0 limit of the central difference: at h =
+    // 1e-3 mu the difference quotient is within ~h/mu of half the sum.
+    EXPECT_NEAR(centralDifferenceSlopeSum(model, zen, n, tied) /
+                    ((s7 + s12) * 0.5),
+                1.0, 2e-3);
+
+    // The compiled kernels find the same tie: casOne, casBatch lanes
+    // and the capacity sweep's grid point at full capacity.
+    const double expected = raw / kCasNormalization;
+    const auto compiled = CompiledDesign::tryCompile(
+        zen, model.technology(), model.options(), tied, n);
+    ASSERT_TRUE(compiled.has_value());
+    double one = 0.0;
+    ASSERT_TRUE(compiled->casOne(CompiledDesign::kNominal,
+                                 kCasNormalization, nullptr, &one));
+    EXPECT_EQ(one, expected);
+
+    constexpr std::size_t kLanes = 3;
+    std::array<std::vector<double>, 6> columns;
+    for (auto& column : columns)
+        column.assign(kLanes, 1.0);
+    columns[3][1] = 0.5; // a lane off the tie between two on it
+    const std::array<const double*, 6> pointers{
+        columns[0].data(), columns[1].data(), columns[2].data(),
+        columns[3].data(), columns[4].data(), columns[5].data()};
+    double lanes[kLanes];
+    unsigned char ok[kLanes];
+    compiled->casBatch(pointers, kLanes, kCasNormalization, nullptr, lanes,
+                       ok);
+    for (std::size_t i = 0; i < kLanes; ++i)
+        ASSERT_TRUE(ok[i]) << "lane " << i;
+    EXPECT_EQ(lanes[0], expected);
+    EXPECT_EQ(lanes[2], expected);
+    CompiledDesign::Factors off = CompiledDesign::kNominal;
+    off[3] = 0.5;
+    double off_one = 0.0;
+    ASSERT_TRUE(
+        compiled->casOne(off, kCasNormalization, nullptr, &off_one));
+    EXPECT_EQ(lanes[1], off_one);
+
+    for (const EvalPath path : {EvalPath::kBatch, EvalPath::kScalar}) {
+        CasModel::Options options;
+        options.eval_path = path;
+        const CasModel sweep_model(model, options);
+        const auto points = sweep_model.capacitySweep(zen, n, {0.5, 1.0},
+                                                      tied);
+        EXPECT_EQ(points[1].cas, expected);
+        EXPECT_EQ(points[0].cas, cas.cas(zen, n, [&] {
+            MarketConditions half = tied;
+            for (const std::string& process : zen.processNodes())
+                half.setCapacityFactor(process, 0.5);
+            return half;
+        }()));
+    }
 }
 
 TEST_F(CasModelTest, CapacitySweepShapes)
@@ -135,10 +312,6 @@ TEST_F(CasModelTest, DerivativeOfIdleNodeThrows)
 
 TEST(CasModelConstructionTest, RejectsBadOptions)
 {
-    CasModel::Options bad_step;
-    bad_step.derivative_rel_step = 0.0;
-    EXPECT_THROW(CasModel(TtmModel(defaultTechnologyDb()), bad_step),
-                 ModelError);
     CasModel::Options bad_norm;
     bad_norm.normalization = -1.0;
     EXPECT_THROW(CasModel(TtmModel(defaultTechnologyDb()), bad_norm),

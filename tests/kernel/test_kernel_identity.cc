@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -61,6 +62,35 @@ mcOptions(std::size_t threads, EvalPath path)
     options.parallel.grain = 16;
     options.eval_path = path;
     return options;
+}
+
+/**
+ * A market whose 12nm queue backlog ties Zen 2's two fab times to the
+ * same double (the backlog is stepped one ulp at a time).
+ */
+MarketConditions
+tiedZen2Market(const TtmModel& model, const ChipDesign& zen, double n_chips)
+{
+    const TtmResult base = model.evaluate(zen, n_chips);
+    const double target = base.nodeDetail("7nm").fabTime().value();
+    const NodeFabDetail& io = base.nodeDetail("12nm");
+    double wafers =
+        (target - io.production_time.value()) * io.effective_rate.value();
+    MarketConditions market;
+    for (int step = 0; step < 4096; ++step) {
+        market.setQueueWafers("12nm", Wafers(wafers));
+        const double fab = model.evaluate(zen, n_chips, market)
+                               .nodeDetail("12nm")
+                               .fabTime()
+                               .value();
+        if (fab == target)
+            return market;
+        wafers = std::nextafter(
+            wafers, fab < target ? std::numeric_limits<double>::infinity()
+                                 : 0.0);
+    }
+    ADD_FAILURE() << "no 12nm backlog ties the 7nm fab time";
+    return market;
 }
 
 class KernelIdentityTest : public ::testing::Test
@@ -317,7 +347,6 @@ TEST_F(KernelIdentityTest, CasBatchMatchesOneLaneForLane)
     ASSERT_TRUE(compiled.has_value());
 
     constexpr std::size_t kN = 131; // odd, non-power-of-two lane count
-    constexpr double kRelStep = 1e-3;
     std::array<std::vector<double>, 6> columns;
     Rng rng(0xca5b);
     for (auto& column : columns) {
@@ -330,7 +359,7 @@ TEST_F(KernelIdentityTest, CasBatchMatchesOneLaneForLane)
         columns[3].data(), columns[4].data(), columns[5].data()};
     std::vector<double> values(kN);
     std::vector<unsigned char> ok(kN);
-    compiled->casBatch(pointers, kN, kRelStep, kCasNormalization,
+    compiled->casBatch(pointers, kN, kCasNormalization,
                        nullptr, values.data(), ok.data());
 
     for (std::size_t i = 0; i < kN; ++i) {
@@ -339,8 +368,8 @@ TEST_F(KernelIdentityTest, CasBatchMatchesOneLaneForLane)
         for (std::size_t k = 0; k < kUncertainInputCount; ++k)
             factors[k] = columns[k][i];
         double one = 0.0;
-        ASSERT_TRUE(compiled->casOne(factors, kRelStep,
-                                     kCasNormalization, nullptr, &one));
+        ASSERT_TRUE(
+            compiled->casOne(factors, kCasNormalization, nullptr, &one));
         EXPECT_EQ(values[i], one) << "lane " << i;
     }
 }
@@ -352,7 +381,6 @@ TEST_F(KernelIdentityTest, CasBatchHonoursCapacityOverrides)
     ASSERT_TRUE(compiled.has_value());
 
     constexpr std::size_t kN = 17;
-    constexpr double kRelStep = 1e-3;
     std::array<std::vector<double>, 6> columns;
     Rng rng(0xcafe);
     for (auto& column : columns) {
@@ -366,7 +394,7 @@ TEST_F(KernelIdentityTest, CasBatchHonoursCapacityOverrides)
     std::vector<double> caps(compiled->processCount(), 0.8);
     std::vector<double> values(kN);
     std::vector<unsigned char> ok(kN);
-    compiled->casBatch(pointers, kN, kRelStep, kCasNormalization,
+    compiled->casBatch(pointers, kN, kCasNormalization,
                        caps.data(), values.data(), ok.data());
 
     for (std::size_t i = 0; i < kN; ++i) {
@@ -375,10 +403,109 @@ TEST_F(KernelIdentityTest, CasBatchHonoursCapacityOverrides)
         for (std::size_t k = 0; k < kUncertainInputCount; ++k)
             factors[k] = columns[k][i];
         double one = 0.0;
-        ASSERT_TRUE(compiled->casOne(factors, kRelStep,
-                                     kCasNormalization, caps.data(),
-                                     &one));
+        ASSERT_TRUE(compiled->casOne(factors, kCasNormalization,
+                                     caps.data(), &one));
         EXPECT_EQ(values[i], one) << "lane " << i;
+    }
+}
+
+TEST_F(KernelIdentityTest, CasKernelsMatchScalarOnTieLanes)
+{
+    // At an exact bottleneck tie Eq. 8 takes half of each tied node's
+    // slope; every compiled CAS path must find the same tie.
+    const TtmModel model(defaultTechnologyDb(), modelOptions());
+    const CasModel scalar(model);
+    const ChipDesign zen = designs::zen2(designs::Zen2Config::Original);
+    const MarketConditions tied = tiedZen2Market(model, zen, n_chips);
+    const TtmResult at_tie = model.evaluate(zen, n_chips, tied);
+    ASSERT_EQ(at_tie.nodeDetail("7nm").fabTime(),
+              at_tie.nodeDetail("12nm").fabTime());
+    const double expected = scalar.cas(zen, n_chips, tied);
+
+    const auto compiled = CompiledDesign::tryCompile(
+        zen, defaultTechnologyDb(), modelOptions(), tied, n_chips);
+    ASSERT_TRUE(compiled.has_value());
+    double one = 0.0;
+    ASSERT_TRUE(compiled->casOne(CompiledDesign::kNominal,
+                                 kCasNormalization, nullptr, &one));
+    EXPECT_EQ(one, expected);
+
+    // Tie lanes (all factors 1) interleaved with perturbed lanes.
+    constexpr std::size_t kN = 9;
+    std::array<std::vector<double>, 6> columns;
+    Rng rng(0x71e);
+    for (auto& column : columns) {
+        column.resize(kN);
+        for (std::size_t i = 0; i < kN; ++i)
+            column[i] = i % 2 == 0 ? 1.0 : rng.uniform(0.9, 1.1);
+    }
+    const std::array<const double*, 6> pointers{
+        columns[0].data(), columns[1].data(), columns[2].data(),
+        columns[3].data(), columns[4].data(), columns[5].data()};
+    std::vector<double> values(kN);
+    std::vector<unsigned char> ok(kN);
+    compiled->casBatch(pointers, kN, kCasNormalization, nullptr,
+                       values.data(), ok.data());
+    for (std::size_t i = 0; i < kN; ++i) {
+        ASSERT_TRUE(ok[i]) << "lane " << i;
+        InputFactors factors;
+        for (std::size_t k = 0; k < kUncertainInputCount; ++k)
+            factors[k] = columns[k][i];
+        EXPECT_EQ(values[i],
+                  analysis.casWithFactors(zen, n_chips, tied, factors))
+            << "lane " << i;
+    }
+    EXPECT_EQ(values[0], expected);
+
+    // The sweep's full-capacity point keeps the base market's tie.
+    CasModel::Options batch_options;
+    batch_options.eval_path = EvalPath::kBatch;
+    CasModel::Options scalar_options;
+    scalar_options.eval_path = EvalPath::kScalar;
+    const std::vector<double> fractions{0.5, 1.0};
+    const auto batch = CasModel(model, batch_options)
+                           .capacitySweep(zen, n_chips, fractions, tied);
+    const auto oracle = CasModel(model, scalar_options)
+                            .capacitySweep(zen, n_chips, fractions, tied);
+    for (std::size_t i = 0; i < fractions.size(); ++i) {
+        EXPECT_EQ(batch[i].ttm.value(), oracle[i].ttm.value());
+        EXPECT_EQ(batch[i].cas, oracle[i].cas);
+    }
+    EXPECT_EQ(batch[1].cas, expected);
+}
+
+TEST_F(KernelIdentityTest, CasKernelsCompleteBelowAThousandthWaferPerWeek)
+{
+    // Below 1e-3 wafers/week the central difference this kernel once
+    // took stepped the rate negative: the lane fell back and the
+    // scalar chain threw. The closed form completes on both paths.
+    const TtmModel model(defaultTechnologyDb(), modelOptions());
+    const auto compiled = CompiledDesign::tryCompile(
+        a11_7nm, defaultTechnologyDb(), modelOptions(), {}, n_chips);
+    ASSERT_TRUE(compiled.has_value());
+    const double factor = 1e-8;
+    ASSERT_LT(model.technology().node("7nm").waferRate().value() * factor,
+              1e-3);
+    double fast = 0.0;
+    ASSERT_TRUE(compiled->casOne(CompiledDesign::kNominal,
+                                 kCasNormalization, &factor, &fast));
+    MarketConditions starved;
+    starved.setCapacityFactor("7nm", factor);
+    EXPECT_EQ(fast, CasModel(model).cas(a11_7nm, n_chips, starved));
+
+    CasModel::Options batch_options;
+    batch_options.eval_path = EvalPath::kBatch;
+    CasModel::Options scalar_options;
+    scalar_options.eval_path = EvalPath::kScalar;
+    const std::vector<double> fractions{1e-9, factor, 1e-6};
+    const auto batch = CasModel(model, batch_options)
+                           .capacitySweep(a11_7nm, n_chips, fractions);
+    const auto oracle = CasModel(model, scalar_options)
+                            .capacitySweep(a11_7nm, n_chips, fractions);
+    for (std::size_t i = 0; i < fractions.size(); ++i) {
+        EXPECT_EQ(batch[i].ttm.value(), oracle[i].ttm.value());
+        EXPECT_EQ(batch[i].cas, oracle[i].cas);
+        EXPECT_GT(batch[i].cas, 0.0);
     }
 }
 

@@ -190,10 +190,15 @@ TEST_F(SplitPlannerTest, RejectsInvalidArguments)
 
 TEST(SplitPlannerConstructionTest, RejectsBadOptions)
 {
-    SplitPlanner::Options bad;
-    bad.derivative_rel_step = 0.0;
+    SplitPlanner::Options bad_norm;
+    bad_norm.cas_normalization = 0.0;
     EXPECT_THROW(SplitPlanner(TtmModel(defaultTechnologyDb()),
-                              CostModel(defaultTechnologyDb()), bad),
+                              CostModel(defaultTechnologyDb()), bad_norm),
+                 ModelError);
+    SplitPlanner::Options bad_slack;
+    bad_slack.ttm_slack = -0.01;
+    EXPECT_THROW(SplitPlanner(TtmModel(defaultTechnologyDb()),
+                              CostModel(defaultTechnologyDb()), bad_slack),
                  ModelError);
 }
 
