@@ -46,7 +46,7 @@ struct CasPoint
 };
 
 /**
- * Eq. 8's slope sum, sum_p |dTTM/dmuW(p)| in weeks per (wafer/week)^2,
+ * Eq. 8's slope sum, sum_p |dTTM/dmuW(p)| in weeks per (wafer/week),
  * of one TtmModel evaluation: each bottleneck node's
  * (queue_time + wafers / rate) / rate from its NodeFabDetail, halved
  * when more than one node ties for the maximum fab time.

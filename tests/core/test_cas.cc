@@ -1,6 +1,5 @@
 #include "core/cas.hh"
 
-#include <array>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -224,54 +223,15 @@ TEST_F(CasModelTest, ExactBottleneckTieTakesHalfOfEachSlope)
                     ((s7 + s12) * 0.5),
                 1.0, 2e-3);
 
-    // The compiled kernels find the same tie: casOne, casBatch lanes
-    // and the capacity sweep's grid point at full capacity.
-    const double expected = raw / kCasNormalization;
+    // The compiled kernel finds the same tie (the kernel identity
+    // suite covers casBatch lanes and the sweep).
     const auto compiled = CompiledDesign::tryCompile(
         zen, model.technology(), model.options(), tied, n);
     ASSERT_TRUE(compiled.has_value());
     double one = 0.0;
     ASSERT_TRUE(compiled->casOne(CompiledDesign::kNominal,
                                  kCasNormalization, nullptr, &one));
-    EXPECT_EQ(one, expected);
-
-    constexpr std::size_t kLanes = 3;
-    std::array<std::vector<double>, 6> columns;
-    for (auto& column : columns)
-        column.assign(kLanes, 1.0);
-    columns[3][1] = 0.5; // a lane off the tie between two on it
-    const std::array<const double*, 6> pointers{
-        columns[0].data(), columns[1].data(), columns[2].data(),
-        columns[3].data(), columns[4].data(), columns[5].data()};
-    double lanes[kLanes];
-    unsigned char ok[kLanes];
-    compiled->casBatch(pointers, kLanes, kCasNormalization, nullptr, lanes,
-                       ok);
-    for (std::size_t i = 0; i < kLanes; ++i)
-        ASSERT_TRUE(ok[i]) << "lane " << i;
-    EXPECT_EQ(lanes[0], expected);
-    EXPECT_EQ(lanes[2], expected);
-    CompiledDesign::Factors off = CompiledDesign::kNominal;
-    off[3] = 0.5;
-    double off_one = 0.0;
-    ASSERT_TRUE(
-        compiled->casOne(off, kCasNormalization, nullptr, &off_one));
-    EXPECT_EQ(lanes[1], off_one);
-
-    for (const EvalPath path : {EvalPath::kBatch, EvalPath::kScalar}) {
-        CasModel::Options options;
-        options.eval_path = path;
-        const CasModel sweep_model(model, options);
-        const auto points = sweep_model.capacitySweep(zen, n, {0.5, 1.0},
-                                                      tied);
-        EXPECT_EQ(points[1].cas, expected);
-        EXPECT_EQ(points[0].cas, cas.cas(zen, n, [&] {
-            MarketConditions half = tied;
-            for (const std::string& process : zen.processNodes())
-                half.setCapacityFactor(process, 0.5);
-            return half;
-        }()));
-    }
+    EXPECT_EQ(one, raw / kCasNormalization);
 }
 
 TEST_F(CasModelTest, CapacitySweepShapes)
