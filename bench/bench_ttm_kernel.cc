@@ -9,10 +9,10 @@
  * through the point driver's chunk fill: the Monte-Carlo CAS kernel
  * sampleCas (casBatch), the Saltelli rows of ttmSensitivity (gathered
  * into ttmBatch columns) and CasModel::capacitySweep (the compiled
- * sweep kernel). Verifies the
- * two paths agree bitwise on every row while timing them, exits 1 on
- * a mismatch, and writes bench_out/BENCH_ttm_kernel.json (with the
- * ttm.batch.* metrics block) for the CI artifact trail.
+ * sweep kernel). Verifies the two paths agree bitwise on every row
+ * while timing them, exits 1 on a mismatch, and writes
+ * bench_out/BENCH_ttm_kernel.json (with the ttm.batch.* metrics
+ * block) for the CI artifact trail.
  * docs/PERFORMANCE.md explains how to read the output.
  */
 
