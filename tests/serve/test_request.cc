@@ -9,6 +9,7 @@
  */
 
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -202,6 +203,524 @@ TEST(ParseRequest, NumericFieldsRejectHostileValues)
         if (!parsed.ok) {
             EXPECT_EQ(parsed.error.code, "invalid-request") << extra;
         }
+    }
+}
+
+/**
+ * Golden error replies: one bad line per rejection path of
+ * parseRequestLine, with the exact errorReply text recorded before
+ * the request path built its field names lazily. Every reply must stay
+ * byte-identical, so a field name, a byte offset or an echoed id
+ * that drifts fails here.
+ */
+const char* const kDie =
+    R"({"name":"soc","process":"7nm","total_transistors":2.4e9,)"
+    R"("unique_transistors":2e8})";
+const std::string kDesign = std::string(R"({"dies":[)") + kDie + "]}";
+
+/** @p item repeated @p count times, comma-separated. */
+std::string
+repeated(const std::string& item, std::size_t count)
+{
+    std::string out;
+    for (std::size_t i = 0; i < count; ++i) {
+        if (i > 0)
+            out += ',';
+        out += item;
+    }
+    return out;
+}
+
+std::string
+request(const std::string& kind, const std::string& design = kDesign,
+        const std::string& extra = "")
+{
+    return R"({"id":"g","kind":")" + kind + R"(","design":)" + design +
+           extra + "}";
+}
+
+struct GoldenError
+{
+    const char* name;
+    std::string line;
+    std::string reply;
+};
+
+std::vector<GoldenError>
+goldenErrors()
+{
+    return {
+    {"line over the byte limit",
+     std::string((1 << 20) + 1, ' '),
+     R"({"id":"","status":"error","error":{"code":"limit-exceeded",)"
+     R"("message":"request line of 1048577 bytes exceeds the )"
+     R"(1048576-byte limit"}})"},
+    {"empty line",
+     R"()",
+     R"({"id":"","status":"error","error":{"code":"malformed-json",)"
+     R"("message":"JSON parse error at byte 0: unexpected end of )"
+     R"(input"}})"},
+    {"unterminated object",
+     R"({)",
+     R"({"id":"","status":"error","error":{"code":"malformed-json",)"
+     R"("message":"JSON parse error at byte 1: unexpected end of )"
+     R"(input"}})"},
+    {"bare word",
+     R"(not json)",
+     R"({"id":"","status":"error","error":{"code":"malformed-json",)"
+     R"("message":"JSON parse error at byte 0: invalid literal"}})"},
+    {"missing value",
+     R"({"id":})",
+     R"({"id":"","status":"error","error":{"code":"malformed-json",)"
+     R"("message":"JSON parse error at byte 6: invalid value"}})"},
+    {"trailing comma",
+     R"({"id":"g",})",
+     R"({"id":"","status":"error","error":{"code":"malformed-json",)"
+     R"("message":"JSON parse error at byte 10: expected '\"'"}})"},
+    {"missing colon",
+     R"({"id" "g"})",
+     R"({"id":"","status":"error","error":{"code":"malformed-json",)"
+     R"("message":"JSON parse error at byte 6: expected ':'"}})"},
+    {"unterminated array",
+     R"({"id":"g","grid":[1,2)",
+     R"({"id":"","status":"error","error":{"code":"malformed-json",)"
+     R"("message":"JSON parse error at byte 21: unexpected end of )"
+     R"(input"}})"},
+    {"trailing content",
+     R"({"id":"g"} x)",
+     R"({"id":"","status":"error","error":{"code":"malformed-json",)"
+     R"("message":"JSON parse error at byte 11: trailing content after )"
+     R"(JSON document"}})"},
+    {"bad escape",
+     R"({"id":"a\qb"})",
+     R"({"id":"","status":"error","error":{"code":"malformed-json",)"
+     R"("message":"JSON parse error at byte 10: invalid escape )"
+     R"(character"}})"},
+    {"bad unicode escape",
+     R"({"id":"\u12x4"})",
+     R"({"id":"","status":"error","error":{"code":"malformed-json",)"
+     R"("message":"JSON parse error at byte 12: invalid \\u escape )"
+     R"(digit"}})"},
+    {"truncated unicode escape",
+     R"({"id":"\u12)",
+     R"({"id":"","status":"error","error":{"code":"malformed-json",)"
+     R"("message":"JSON parse error at byte 9: truncated \\u escape"}})"},
+    {"bad literal",
+     R"({"no_cache":tru})",
+     R"({"id":"","status":"error","error":{"code":"malformed-json",)"
+     R"("message":"JSON parse error at byte 12: invalid literal"}})"},
+    {"number with two points",
+     R"({"id":"g","n_chips":1.2.3})",
+     R"({"id":"","status":"error","error":{"code":"malformed-json",)"
+     R"("message":"JSON parse error at byte 25: invalid number )"
+     R"('1.2.3'"}})"},
+    {"number with two minus signs",
+     R"({"id":"g","n_chips":--1})",
+     R"({"id":"","status":"error","error":{"code":"malformed-json",)"
+     R"("message":"JSON parse error at byte 23: invalid number '--1'"}})"},
+    {"number without exponent digits",
+     R"({"id":"g","n_chips":1e})",
+     R"({"id":"","status":"error","error":{"code":"malformed-json",)"
+     R"("message":"JSON parse error at byte 22: invalid number '1e'"}})"},
+    {"number overflow",
+     R"({"id":"g","n_chips":1e400})",
+     R"({"id":"","status":"error","error":{"code":"malformed-json",)"
+     R"("message":"JSON parse error at byte 25: invalid number )"
+     R"('1e400'"}})"},
+    {"number underflow",
+     R"({"id":"g","n_chips":1e-310})",
+     R"({"id":"","status":"error","error":{"code":"malformed-json",)"
+     R"("message":"JSON parse error at byte 26: invalid number )"
+     R"('1e-310'"}})"},
+    {"lone plus sign",
+     R"({"id":"g","n_chips":+})",
+     R"({"id":"","status":"error","error":{"code":"malformed-json",)"
+     R"("message":"JSON parse error at byte 21: invalid number '+'"}})"},
+    {"unexpected character",
+     R"({"id":@})",
+     R"({"id":"","status":"error","error":{"code":"malformed-json",)"
+     R"("message":"JSON parse error at byte 6: invalid value"}})"},
+    {"overlong string",
+     R"({"id":")" + std::string(65537, 'a') + R"("})",
+     R"({"id":"","status":"error","error":{"code":"malformed-json",)"
+     R"("message":"JSON parse error at byte 65544: string longer than )"
+     R"(65536 bytes"}})"},
+    {"raw control character",
+     "{\"id\":\"a\x01" "b\"}",
+     R"({"id":"","status":"error","error":{"code":"malformed-json",)"
+     R"("message":"JSON parse error at byte 8: raw control character in )"
+     R"x(string (must be \\u-escaped)"}})x"},
+    {"nesting too deep",
+     R"({"id":"g","grid":)" + std::string(65, '[') +
+         std::string(65, ']') + "}",
+     R"({"id":"","status":"error","error":{"code":"malformed-json",)"
+     R"("message":"JSON parse error at byte 80: nesting deeper than 64 )"
+     R"(levels"}})"},
+    {"not an object",
+     R"([1,2])",
+     R"({"id":"","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"request must be a JSON object"}})"},
+    {"unknown request field",
+     R"({"id":"g","kind":"mc_ttm","sample":512})",
+     R"({"id":"","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"unknown field 'sample' in request"}})"},
+    {"id not a string",
+     R"({"id":5,"kind":"mc_ttm"})",
+     R"({"id":"","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'id' must be a string"}})"},
+    {"missing kind",
+     R"({"id":"g"})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"request is missing 'kind'"}})"},
+    {"kind not a string",
+     R"({"id":"g","kind":7})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'kind' must be a string"}})"},
+    {"unknown kind",
+     R"({"id":"g","kind":"warp_drive"})",
+     R"({"id":"g","status":"error","error":{"code":"unknown-kind",)"
+     R"("message":"unknown request kind 'warp_drive'"}})"},
+    {"missing design",
+     R"({"id":"g","kind":"mc_ttm"})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"request is missing 'design'"}})"},
+    {"design not an object",
+     R"({"id":"g","kind":"mc_ttm","design":[]})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'design' must be an object"}})"},
+    {"unknown design field",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}],"color":"red"}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"unknown field 'color' in design"}})"},
+    {"design name not a string",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}],"name":1}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'design.name' must be a string"}})"},
+    {"design weeks not a number",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}],"design_weeks":"soon"}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'design.design_weeks' must be a number"}})"},
+    {"design missing dies",
+     R"({"id":"g","kind":"mc_ttm","design":{"name":"x"}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"design is missing 'dies'"}})"},
+    {"dies not an array",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":{}}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"design.dies must be an array"}})"},
+    {"dies empty",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[]}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"design.dies must not be empty"}})"},
+    {"too many dies",
+     request("mc_ttm", "{\"dies\":[" + repeated(kDie, 65) + "]}"),
+     R"({"id":"g","status":"error","error":{"code":"limit-exceeded",)"
+     R"("message":"design has 65 dies, more than the limit of 64"}})"},
+    {"invalid design",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":3e9,"yield_override":1.5}]}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-design",)"
+     R"x("message":"design fails validation with 2 violation(s)",)x"
+     R"("violations":["die 'soc': unique transistors cannot exceed )"
+     R"(total transistors","die 'soc': yield override must be in (0, )"
+     R"(1]"]}})"},
+    {"die not an object",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[5]}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'dies[0]' must be an object"}})"},
+    {"unknown die field",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8,"total_transitors":1e9}]}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"unknown field 'total_transitors' in dies[0]"}})"},
+    {"die name not a string",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":true,)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'dies[0].name' must be a string"}})"},
+    {"die missing process",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("total_transistors":2.4e9,"unique_transistors":2e8}]}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"dies[0] is missing 'process'"}})"},
+    {"die process not a string",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":7,"total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'dies[0].process' must be a string"}})"},
+    {"die missing total transistors",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","unique_transistors":2e8}]}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"dies[0] is missing 'total_transistors'"}})"},
+    {"die total transistors not a number",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":"many",)"
+     R"("unique_transistors":2e8}]}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'dies[0].total_transistors' must be a number"}})"},
+    {"die missing unique transistors",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9}]}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"dies[0] is missing 'unique_transistors'"}})"},
+    {"die unique transistors not a number",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":null}]}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'dies[0].unique_transistors' must be a )"
+     R"(number"}})"},
+    {"second die count not a number",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8},{"name":"soc","process":"7nm",)"
+     R"("total_transistors":2.4e9,"unique_transistors":2e8,)"
+     R"("count_per_package":"2"}]}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'dies[1].count_per_package' must be a number"}})"},
+    {"die area not a number",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8,"area_mm2":[]}]}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'dies[0].area_mm2' must be a number"}})"},
+    {"die min area not a number",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8,"min_area_mm2":{}}]}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'dies[0].min_area_mm2' must be a number"}})"},
+    {"die yield not a number",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8,"yield_override":false}]}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'dies[0].yield_override' must be a number"}})"},
+    {"market not an object",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},"market":1})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'market' must be an object"}})"},
+    {"unknown market field",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},"market":{"capcity":{}}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"unknown field 'capcity' in market"}})"},
+    {"global capacity negative",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},"market":{"global_capacity":-0.5}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'market.global_capacity' must be >= 0"}})"},
+    {"global capacity not a number",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},"market":{"global_capacity":"full"}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'market.global_capacity' must be a number"}})"},
+    {"capacity map not an object",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},"market":{"capacity":[0.5]}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'market.capacity' must be an object"}})"},
+    {"capacity map empty node",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},"market":{"capacity":{"":0.5}}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"market.capacity contains an empty node name"}})"},
+    {"capacity map value not a number",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},)"
+     R"("market":{"capacity":{"7nm":"half"}}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'market.capacity.7nm' must be a number"}})"},
+    {"capacity map value negative",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},"market":{"capacity":{"7nm":-1}}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"market.capacity.7nm must be >= 0"}})"},
+    {"queue weeks value negative",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},"market":{"queue_weeks":{"7nm":-2}}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"market.queue_weeks.7nm must be >= 0"}})"},
+    {"queue wafers value negative",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},)"
+     R"("market":{"queue_wafers":{"5nm":-3}}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"market.queue_wafers.5nm must be >= 0"}})"},
+    {"queue wafers value not a number",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},)"
+     R"("market":{"queue_wafers":{"5nm":true}}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'market.queue_wafers.5nm' must be a number"}})"},
+    {"n_chips zero",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},"n_chips":0})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'n_chips' must be > 0"}})"},
+    {"n_chips not a number",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},"n_chips":"1e7"})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'n_chips' must be a number"}})"},
+    {"seed fractional",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},"seed":1.5})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'seed' must be a non-negative integer"}})"},
+    {"seed negative",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},"seed":-1})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'seed' must be >= 0"}})"},
+    {"seed above 2^53",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},"seed":1e16})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'seed' must be a non-negative integer"}})"},
+    {"samples zero",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},"samples":0})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'samples' must be >= 1"}})"},
+    {"samples over the limit",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},"samples":1048577})",
+     R"({"id":"g","status":"error","error":{"code":"limit-exceeded",)"
+     R"("message":"samples 1048577 exceeds the per-request limit of )"
+     R"(1048576"}})"},
+    {"band zero",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},"band":0})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'band' must be > 0"}})"},
+    {"band one",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},"band":1})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"x("message":"field 'band' must be in (0, 1)"}})x"},
+    {"ensemble on mc_ttm",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},"ensemble":{}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'ensemble' is only valid for ensemble_ttm"}})"},
+    {"ensemble spec invalid",
+     R"({"id":"g","kind":"ensemble_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},"ensemble":{"horizon_weeks":-1,)"
+     R"("bogus":1}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"x("message":"ensemble spec fails validation with 1 problem(s)",)x"
+     R"("violations":["unknown field 'bogus' in ensemble"]}})"},
+    {"chiplet on mc_ttm",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},"chiplet":{}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'chiplet' is only valid for chiplet_pareto"}})"},
+    {"chiplet spec invalid",
+     R"({"id":"g","kind":"chiplet_pareto",)"
+     R"("design":{"dies":[{"name":"soc","process":"7nm",)"
+     R"("total_transistors":2.4e9,"unique_transistors":2e8}]},)"
+     R"("chiplet":{"partitions":[0],"nodes":5}})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"x("message":"chiplet spec fails validation with 1 problem(s)",)x"
+     R"("violations":["chiplet.nodes must be an array of strings"]}})"},
+    {"grid on mc_ttm",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},"grid":[0.5]})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'grid' is only valid for capacity_sweep"}})"},
+    {"grid empty",
+     R"({"id":"g","kind":"capacity_sweep",)"
+     R"("design":{"dies":[{"name":"soc","process":"7nm",)"
+     R"("total_transistors":2.4e9,"unique_transistors":2e8}]},"grid":[]})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'grid' must be a non-empty array"}})"},
+    {"grid not an array",
+     R"({"id":"g","kind":"capacity_sweep",)"
+     R"("design":{"dies":[{"name":"soc","process":"7nm",)"
+     R"("total_transistors":2.4e9,"unique_transistors":2e8}]},)"
+     R"("grid":0.5})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'grid' must be a non-empty array"}})"},
+    {"grid over the limit",
+     request("capacity_sweep", kDesign,
+             R"(,"grid":[)" + repeated("0.5", 4097) + "]"),
+     R"({"id":"g","status":"error","error":{"code":"limit-exceeded",)"
+     R"("message":"grid of 4097 points exceeds the limit of 4096"}})"},
+    {"grid element not positive",
+     R"({"id":"g","kind":"capacity_sweep",)"
+     R"("design":{"dies":[{"name":"soc","process":"7nm",)"
+     R"("total_transistors":2.4e9,"unique_transistors":2e8}]},)"
+     R"("grid":[0.5,1,-0.25]})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'grid[2]' must be > 0"}})"},
+    {"grid element not a number",
+     R"({"id":"g","kind":"capacity_sweep",)"
+     R"("design":{"dies":[{"name":"soc","process":"7nm",)"
+     R"("total_transistors":2.4e9,"unique_transistors":2e8}]},)"
+     R"("grid":[0.5,"x"]})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'grid[1]' must be a number"}})"},
+    {"deadline negative",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},"deadline_s":-1})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'deadline_s' must be >= 0"}})"},
+    {"no_cache not a boolean",
+     R"({"id":"g","kind":"mc_ttm","design":{"dies":[{"name":"soc",)"
+     R"("process":"7nm","total_transistors":2.4e9,)"
+     R"("unique_transistors":2e8}]},"no_cache":"yes"})",
+     R"({"id":"g","status":"error","error":{"code":"invalid-request",)"
+     R"("message":"field 'no_cache' must be a boolean"}})"},
+    };
+}
+
+TEST(ParseRequest, ErrorRepliesAreByteIdenticalToTheGoldens)
+{
+    const std::vector<GoldenError> goldens = goldenErrors();
+    EXPECT_GE(goldens.size(), 80u);
+    for (const GoldenError& golden : goldens) {
+        const ParsedRequest parsed =
+            parseRequestLine(golden.line, ServeLimits{});
+        ASSERT_FALSE(parsed.ok) << golden.name;
+        EXPECT_EQ(errorReply(parsed.error), golden.reply) << golden.name;
     }
 }
 
