@@ -42,7 +42,8 @@ checkOnlyKeys(const JsonValue& object,
               const std::string& context,
               std::vector<std::string>& errors)
 {
-    for (const std::string& key : object.keys()) {
+    for (const JsonValue& member : object.members()) {
+        const std::string& key = member.key();
         bool known = false;
         for (const char* name : allowed) {
             if (key == name) {
@@ -256,21 +257,22 @@ parseEnsembleSpec(const JsonValue& value)
         const JsonValue& nodes = value.at("nodes");
         if (nodes.kind() != JsonValue::Kind::Object) {
             errors.push_back("ensemble.nodes must be an object");
-        } else if (nodes.keys().size() > kMaxEnsembleNodes) {
+        } else if (nodes.members().size() > kMaxEnsembleNodes) {
             errors.push_back(
                 "ensemble.nodes has " +
-                std::to_string(nodes.keys().size()) +
+                std::to_string(nodes.members().size()) +
                 " entries, more than the limit of " +
                 std::to_string(kMaxEnsembleNodes));
         } else {
-            for (const std::string& node : nodes.keys()) {
+            for (const JsonValue& member : nodes.members()) {
+                const std::string& node = member.key();
                 if (node.empty()) {
                     errors.push_back(
                         "ensemble.nodes contains an empty node name");
                     continue;
                 }
                 DisruptionProcessParams params;
-                parseNode(nodes.at(node), node, params, errors);
+                parseNode(member, node, params, errors);
                 spec.nodes.emplace(node, params);
             }
         }

@@ -43,7 +43,8 @@ checkOnlyKeys(const JsonValue& object,
               const std::string& context,
               std::vector<std::string>& errors)
 {
-    for (const std::string& key : object.keys()) {
+    for (const JsonValue& member : object.members()) {
+        const std::string& key = member.key();
         bool known = false;
         for (const char* name : allowed) {
             if (key == name) {

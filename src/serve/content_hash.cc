@@ -1,7 +1,6 @@
 #include "serve/content_hash.hh"
 
 #include <bit>
-#include <cstdio>
 
 namespace ttmcas::serve {
 
@@ -56,14 +55,25 @@ ContentHasher::tag(std::string_view name)
 std::string
 ContentHasher::hex() const
 {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(_state));
-    return buf;
+    std::string out;
+    appendHex(out);
+    return out;
 }
 
-std::string
-designHash(const ChipDesign& design)
+void
+ContentHasher::appendHex(std::string& out) const
+{
+    static constexpr char kDigits[] = "0123456789abcdef";
+    char buf[16];
+    for (int i = 0; i < 16; ++i)
+        buf[i] = kDigits[(_state >> (60 - 4 * i)) & 0xfu];
+    out.append(buf, sizeof(buf));
+}
+
+namespace {
+
+ContentHasher
+designHasher(const ChipDesign& design)
 {
     ContentHasher hasher;
     hasher.tag("design").mix(design.name);
@@ -83,11 +93,11 @@ designHash(const ChipDesign& design)
         if (die.yield_override)
             hasher.mix(*die.yield_override);
     }
-    return hasher.hex();
+    return hasher;
 }
 
-std::string
-marketHash(const MarketConditions& market)
+ContentHasher
+marketHasher(const MarketConditions& market)
 {
     ContentHasher hasher;
     hasher.tag("market");
@@ -104,7 +114,21 @@ marketHash(const MarketConditions& market)
         static_cast<std::uint64_t>(market.queueWafersByNode().size()));
     for (const auto& [node, wafers] : market.queueWafersByNode())
         hasher.mix(node).mix(wafers.value());
-    return hasher.hex();
+    return hasher;
+}
+
+} // namespace
+
+std::string
+designHash(const ChipDesign& design)
+{
+    return designHasher(design).hex();
+}
+
+std::string
+marketHash(const MarketConditions& market)
+{
+    return marketHasher(market).hex();
 }
 
 void
@@ -208,8 +232,14 @@ evalCacheKey(const ChipDesign& design, const MarketConditions& market,
         params.kernel == "ensemble_ttm" ||
         params.kernel == "chiplet_pareto")
         hasher.tag("cas_closed_form");
-    return designHash(design) + "-" + marketHash(market) + "-" +
-           hasher.hex();
+    std::string key;
+    key.reserve(3 * 16 + 2);
+    designHasher(design).appendHex(key);
+    key += '-';
+    marketHasher(market).appendHex(key);
+    key += '-';
+    hasher.appendHex(key);
+    return key;
 }
 
 } // namespace ttmcas::serve

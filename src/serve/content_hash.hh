@@ -33,9 +33,9 @@
  */
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/design.hh"
 #include "core/ensemble.hh"
@@ -64,6 +64,8 @@ class ContentHasher
 
     /** The digest as 16 lowercase hex characters. */
     std::string hex() const;
+    /** Append hex() to @p out without a temporary string. */
+    void appendHex(std::string& out) const;
 
   private:
     std::uint64_t _state = 0xcbf29ce484222325ULL; // FNV-1a offset basis
@@ -78,16 +80,18 @@ std::string marketHash(const MarketConditions& market);
 /**
  * Kernel parameters that distinguish two evaluations of the same
  * (design, market) pair. `kernel` is the request-kind name ("mc_ttm",
- * "sobol_ttm", ...); `grid` carries sweep points (capacity factors).
+ * "sobol_ttm", ...); `grid` views the sweep points (capacity factors).
+ * Both are views: the params only live while the key is computed, so
+ * they borrow the request's storage instead of copying it.
  */
 struct EvalKeyParams
 {
-    std::string kernel;
+    std::string_view kernel;
     std::uint64_t seed = 0;
     double n_chips = 0.0;
     std::uint64_t samples = 0;
     double band = 0.0;
-    std::vector<double> grid;
+    std::span<const double> grid;
     /**
      * Disruption-process configuration of an ensemble_ttm evaluation
      * (null otherwise). Every field of the spec — horizon, step,
@@ -116,9 +120,10 @@ void mixChipletSpec(ContentHasher& hasher, const ChipletSweepSpec& spec);
 
 /**
  * The content-addressed cache key of one evaluation:
- * "<design-hash>-<market-hash>-<param-hash>" (3 x 16 hex). The
- * design and market digests stay visible in the key so operators can
- * grep a cache directory for "every entry of this design".
+ * "<design-hash>-<market-hash>-<param-hash>" (3 x 16 hex), written
+ * into one string of exactly that size. The design and market digests
+ * stay visible in the key so operators can grep a cache directory for
+ * "every entry of this design".
  */
 std::string evalCacheKey(const ChipDesign& design,
                          const MarketConditions& market,

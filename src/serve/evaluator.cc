@@ -206,7 +206,7 @@ Evaluator::evaluateMc(const EvalRequest& request,
     writeSummary(json, samples);
     writeFailures(json, *control.failure_report);
     json.endObject();
-    return json.str();
+    return std::move(json).str();
 }
 
 std::string
@@ -269,7 +269,7 @@ Evaluator::evaluateSobol(const EvalRequest& request,
     }
     writeFailures(json, *control.failure_report);
     json.endObject();
-    return json.str();
+    return std::move(json).str();
 }
 
 std::string
@@ -317,7 +317,7 @@ Evaluator::evaluateSweep(const EvalRequest& request,
     json.endArray();
     writeFailures(json, *control.failure_report);
     json.endObject();
-    return json.str();
+    return std::move(json).str();
 }
 
 std::string
@@ -345,7 +345,7 @@ Evaluator::evaluateEnsemble(const EvalRequest& request,
     writeEnsembleResult(json, result);
     writeFailures(json, *control.failure_report);
     json.endObject();
-    return json.str();
+    return std::move(json).str();
 }
 
 std::string
@@ -370,7 +370,7 @@ Evaluator::evaluateChipletPareto(const EvalRequest& request,
     writeChipletParetoResult(json, result);
     writeFailures(json, *control.failure_report);
     json.endObject();
-    return json.str();
+    return std::move(json).str();
 }
 
 } // namespace ttmcas::serve

@@ -1,11 +1,10 @@
 #include "serve/request.hh"
 
-#include <cmath>
-#include <functional>
-#include <initializer_list>
-#include <utility>
-
 #include <algorithm>
+#include <array>
+#include <cmath>
+#include <string_view>
+#include <utility>
 
 #include "core/ensemble_io.hh"
 #include "opt/chiplet_io.hh"
@@ -37,178 +36,264 @@ reject(std::string code, std::string message,
     throw failure;
 }
 
+/**
+ * The name of a request field, spelled out only when the field is
+ * rejected: a valid request never pays for "dies[0].process". The text
+ * is the parent, then "[index]" when there is one, then ".name"
+ * ("n_chips", "dies[0]", "dies[0].process", "market.capacity.7nm").
+ */
+class Field
+{
+  public:
+    Field(const char* name) : _name(name) {}
+    Field(std::string_view name) : _name(name) {}
+    Field(std::string_view parent, std::string_view name)
+        : _parent(parent), _name(name)
+    {}
+    Field(std::string_view parent, std::size_t index)
+        : _parent(parent), _index(index)
+    {}
+
+    /** The field @p name inside this one. */
+    Field member(std::string_view name) const
+    {
+        Field field(_parent, _index);
+        field._name = name;
+        return field;
+    }
+
+    std::string text() const
+    {
+        std::string out(_parent);
+        if (_index != kNoIndex)
+            out += "[" + std::to_string(_index) + "]";
+        if (!_name.empty()) {
+            if (!out.empty())
+                out += '.';
+            out += _name;
+        }
+        return out;
+    }
+
+  private:
+    static constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
+
+    std::string_view _parent;
+    std::size_t _index = kNoIndex;
+    std::string_view _name;
+};
+
 double
-asFiniteNumber(const JsonValue& value, const std::string& field)
+asFiniteNumber(const JsonValue& value, const Field& field)
 {
     if (value.kind() != JsonValue::Kind::Number)
-        reject("invalid-request", "field '" + field + "' must be a number");
+        reject("invalid-request",
+               "field '" + field.text() + "' must be a number");
     const double number = value.asNumber();
     if (!std::isfinite(number))
-        reject("invalid-request", "field '" + field + "' must be finite");
+        reject("invalid-request",
+               "field '" + field.text() + "' must be finite");
     return number;
 }
 
 double
-positiveNumber(const JsonValue& value, const std::string& field)
+positiveNumber(const JsonValue& value, const Field& field)
 {
     const double number = asFiniteNumber(value, field);
     if (number <= 0.0)
-        reject("invalid-request", "field '" + field + "' must be > 0");
+        reject("invalid-request", "field '" + field.text() + "' must be > 0");
     return number;
 }
 
 double
-nonNegativeNumber(const JsonValue& value, const std::string& field)
+nonNegativeNumber(const JsonValue& value, const Field& field)
 {
     const double number = asFiniteNumber(value, field);
     if (number < 0.0)
-        reject("invalid-request", "field '" + field + "' must be >= 0");
+        reject("invalid-request",
+               "field '" + field.text() + "' must be >= 0");
     return number;
 }
 
 std::uint64_t
-asCount(const JsonValue& value, const std::string& field)
+asCount(const JsonValue& value, const Field& field)
 {
     const double number = nonNegativeNumber(value, field);
     if (number != std::floor(number) || number > 9.007199254740992e15)
-        reject("invalid-request",
-               "field '" + field + "' must be a non-negative integer");
+        reject("invalid-request", "field '" + field.text() +
+                                      "' must be a non-negative integer");
     return static_cast<std::uint64_t>(number);
 }
 
 const std::string&
-asStringField(const JsonValue& value, const std::string& field)
+asStringField(const JsonValue& value, const Field& field)
 {
     if (value.kind() != JsonValue::Kind::String)
-        reject("invalid-request", "field '" + field + "' must be a string");
+        reject("invalid-request",
+               "field '" + field.text() + "' must be a string");
     return value.asString();
 }
 
 bool
-asBoolField(const JsonValue& value, const std::string& field)
+asBoolField(const JsonValue& value, const Field& field)
 {
     if (value.kind() != JsonValue::Kind::Boolean)
-        reject("invalid-request", "field '" + field + "' must be a boolean");
+        reject("invalid-request",
+               "field '" + field.text() + "' must be a boolean");
     return value.asBool();
 }
 
 void
-requireObject(const JsonValue& value, const std::string& field)
+requireObject(const JsonValue& value, const Field& field)
 {
     if (value.kind() != JsonValue::Kind::Object)
-        reject("invalid-request", "field '" + field + "' must be an object");
+        reject("invalid-request",
+               "field '" + field.text() + "' must be an object");
 }
 
-/** Reject unknown keys so a typo'd field never silently defaults. */
-void
-requireOnlyKeys(const JsonValue& object,
-                std::initializer_list<const char*> allowed,
-                const std::string& context)
+/**
+ * The members of @p object named in @p names, in that order (nullptr
+ * for an absent one). The same pass rejects the first member that
+ * @p names does not list, so a typo'd field never silently defaults.
+ */
+template <std::size_t N>
+std::array<const JsonValue*, N>
+knownMembers(const JsonValue& object,
+             const std::array<std::string_view, N>& names,
+             const Field& context)
 {
-    for (const std::string& key : object.keys()) {
-        bool known = false;
-        for (const char* name : allowed) {
-            if (key == name) {
-                known = true;
-                break;
-            }
-        }
-        if (!known)
-            reject("invalid-request",
-                   "unknown field '" + key + "' in " + context);
+    std::array<const JsonValue*, N> found{};
+    for (const JsonValue& member : object.members()) {
+        const auto name = std::find(names.begin(), names.end(), member.key());
+        if (name == names.end())
+            reject("invalid-request", "unknown field '" + member.key() +
+                                          "' in " + context.text());
+        found[static_cast<std::size_t>(name - names.begin())] = &member;
     }
+    return found;
 }
+
+/** @p value, the member @p name; rejected as missing when absent. */
+const JsonValue&
+required(const JsonValue* value, std::string_view name,
+         const Field& context)
+{
+    if (value == nullptr)
+        reject("invalid-request", context.text() + " is missing '" +
+                                      std::string(name) + "'");
+    return *value;
+}
+
+/** @name The fields each request object may carry */
+///@{
+constexpr std::array<std::string_view, 13> kRequestFields = {
+    "id",   "kind", "design",     "market",   "n_chips",  "seed",   "samples",
+    "band", "grid", "deadline_s", "no_cache", "ensemble", "chiplet"};
+constexpr std::array<std::string_view, 3> kDesignFields = {
+    "name", "design_weeks", "dies"};
+constexpr std::array<std::string_view, 8> kDieFields = {
+    "name", "process", "total_transistors", "unique_transistors",
+    "count_per_package", "area_mm2", "min_area_mm2", "yield_override"};
+constexpr std::array<std::string_view, 4> kMarketFields = {
+    "global_capacity", "capacity", "queue_weeks", "queue_wafers"};
+///@}
 
 Die
 parseDie(const JsonValue& value, std::size_t index)
 {
-    const std::string context = "dies[" + std::to_string(index) + "]";
+    const Field context("dies", index);
     requireObject(value, context);
-    requireOnlyKeys(value,
-                    {"name", "process", "total_transistors",
-                     "unique_transistors", "count_per_package", "area_mm2",
-                     "min_area_mm2", "yield_override"},
-                    context);
+    const auto [name, process, total, unique, count, area, min_area,
+                yield] = knownMembers(value, kDieFields, context);
     Die die;
-    die.name = value.has("name")
-                   ? asStringField(value.at("name"), context + ".name")
-                   : "die" + std::to_string(index);
-    if (!value.has("process"))
-        reject("invalid-request", context + " is missing 'process'");
-    die.process = asStringField(value.at("process"), context + ".process");
-    if (!value.has("total_transistors"))
-        reject("invalid-request",
-               context + " is missing 'total_transistors'");
-    die.total_transistors = asFiniteNumber(value.at("total_transistors"),
-                                           context + ".total_transistors");
-    if (!value.has("unique_transistors"))
-        reject("invalid-request",
-               context + " is missing 'unique_transistors'");
-    die.unique_transistors = asFiniteNumber(
-        value.at("unique_transistors"), context + ".unique_transistors");
-    if (value.has("count_per_package"))
-        die.count_per_package = asFiniteNumber(
-            value.at("count_per_package"), context + ".count_per_package");
-    if (value.has("area_mm2"))
-        die.area_override = SquareMm(
-            asFiniteNumber(value.at("area_mm2"), context + ".area_mm2"));
-    if (value.has("min_area_mm2"))
-        die.min_area = SquareMm(asFiniteNumber(
-            value.at("min_area_mm2"), context + ".min_area_mm2"));
-    if (value.has("yield_override"))
-        die.yield_override = asFiniteNumber(value.at("yield_override"),
-                                            context + ".yield_override");
+    if (name != nullptr)
+        die.name = asStringField(*name, context.member("name"));
+    else
+        die.name = "die" + std::to_string(index);
+    die.process = asStringField(required(process, "process", context),
+                                context.member("process"));
+    die.total_transistors =
+        asFiniteNumber(required(total, "total_transistors", context),
+                       context.member("total_transistors"));
+    die.unique_transistors =
+        asFiniteNumber(required(unique, "unique_transistors", context),
+                       context.member("unique_transistors"));
+    if (count != nullptr)
+        die.count_per_package =
+            asFiniteNumber(*count, context.member("count_per_package"));
+    if (area != nullptr)
+        die.area_override =
+            SquareMm(asFiniteNumber(*area, context.member("area_mm2")));
+    if (min_area != nullptr)
+        die.min_area = SquareMm(
+            asFiniteNumber(*min_area, context.member("min_area_mm2")));
+    if (yield != nullptr)
+        die.yield_override =
+            asFiniteNumber(*yield, context.member("yield_override"));
     return die;
 }
 
 ChipDesign
 parseDesign(const JsonValue& value, const ServeLimits& limits)
 {
-    requireObject(value, "design");
-    requireOnlyKeys(value, {"name", "design_weeks", "dies"}, "design");
+    const Field context("design");
+    requireObject(value, context);
+    const auto [name, weeks, dies_field] =
+        knownMembers(value, kDesignFields, context);
     ChipDesign design;
-    design.name = value.has("name")
-                      ? asStringField(value.at("name"), "design.name")
-                      : "request-design";
-    if (value.has("design_weeks"))
-        design.design_time = Weeks(asFiniteNumber(value.at("design_weeks"),
-                                                  "design.design_weeks"));
-    if (!value.has("dies"))
-        reject("invalid-request", "design is missing 'dies'");
-    const JsonValue& dies = value.at("dies");
+    if (name != nullptr)
+        design.name = asStringField(*name, Field("design", "name"));
+    else
+        design.name = "request-design";
+    if (weeks != nullptr)
+        design.design_time =
+            Weeks(asFiniteNumber(*weeks, Field("design", "design_weeks")));
+    const JsonValue& dies = required(dies_field, "dies", context);
     if (dies.kind() != JsonValue::Kind::Array)
         reject("invalid-request", "design.dies must be an array");
-    if (dies.asArray().empty())
+    const std::vector<JsonValue>& items = dies.asArray();
+    if (items.empty())
         reject("invalid-request", "design.dies must not be empty");
-    if (dies.asArray().size() > limits.max_dies)
+    if (items.size() > limits.max_dies)
         reject("limit-exceeded",
-               "design has " + std::to_string(dies.asArray().size()) +
+               "design has " + std::to_string(items.size()) +
                    " dies, more than the limit of " +
                    std::to_string(limits.max_dies));
-    for (std::size_t i = 0; i < dies.asArray().size(); ++i)
-        design.dies.push_back(parseDie(dies.asArray()[i], i));
+    design.dies.reserve(items.size());
+    for (std::size_t i = 0; i < items.size(); ++i)
+        design.dies.push_back(parseDie(items[i], i));
 
     // All-at-once semantic validation: one reply names every problem.
-    const std::vector<std::string> violations = design.violations();
-    if (!violations.empty())
+    std::vector<std::string> violations = design.violations();
+    if (!violations.empty()) {
+        const std::size_t problems = violations.size();
         reject("invalid-design",
-               "design fails validation with " +
-                   std::to_string(violations.size()) + " violation(s)",
-               violations);
+               "design fails validation with " + std::to_string(problems) +
+                   " violation(s)",
+               std::move(violations));
+    }
     return design;
 }
 
+/**
+ * Read a node -> non-negative number map at @p field and hand each
+ * entry to @p set.
+ */
+template <typename Set>
 void
-parseMarketMap(const JsonValue& object, const std::string& field,
-               const std::function<void(const std::string&, double)>& set)
+parseMarketMap(const JsonValue& object, std::string_view field, Set set)
 {
     requireObject(object, field);
-    for (const std::string& node : object.keys()) {
+    for (const JsonValue& entry : object.members()) {
+        const std::string& node = entry.key();
         if (node.empty())
             reject("invalid-request",
-                   field + " contains an empty node name");
-        set(node,
-            asFiniteNumber(object.at(node), field + "." + node));
+                   std::string(field) + " contains an empty node name");
+        const Field name(field, node);
+        const double number = asFiniteNumber(entry, name);
+        if (number < 0.0)
+            reject("invalid-request", name.text() + " must be >= 0");
+        set(node, number);
     }
 }
 
@@ -216,42 +301,29 @@ MarketConditions
 parseMarket(const JsonValue& value)
 {
     requireObject(value, "market");
-    requireOnlyKeys(
-        value, {"global_capacity", "capacity", "queue_weeks", "queue_wafers"},
-        "market");
+    const auto [global, capacity, weeks, wafers] =
+        knownMembers(value, kMarketFields, "market");
     MarketConditions market;
-    if (value.has("global_capacity")) {
-        market.setGlobalCapacityFactor(nonNegativeNumber(
-            value.at("global_capacity"), "market.global_capacity"));
+    if (global != nullptr) {
+        market.setGlobalCapacityFactor(
+            nonNegativeNumber(*global, Field("market", "global_capacity")));
     }
-    if (value.has("capacity")) {
-        parseMarketMap(value.at("capacity"), "market.capacity",
+    if (capacity != nullptr) {
+        parseMarketMap(*capacity, "market.capacity",
                        [&](const std::string& node, double factor) {
-                           if (factor < 0.0)
-                               reject("invalid-request",
-                                      "market.capacity." + node +
-                                          " must be >= 0");
                            market.setCapacityFactor(node, factor);
                        });
     }
-    if (value.has("queue_weeks")) {
-        parseMarketMap(value.at("queue_weeks"), "market.queue_weeks",
-                       [&](const std::string& node, double weeks) {
-                           if (weeks < 0.0)
-                               reject("invalid-request",
-                                      "market.queue_weeks." + node +
-                                          " must be >= 0");
-                           market.setQueueWeeks(node, Weeks(weeks));
+    if (weeks != nullptr) {
+        parseMarketMap(*weeks, "market.queue_weeks",
+                       [&](const std::string& node, double queue) {
+                           market.setQueueWeeks(node, Weeks(queue));
                        });
     }
-    if (value.has("queue_wafers")) {
-        parseMarketMap(value.at("queue_wafers"), "market.queue_wafers",
-                       [&](const std::string& node, double wafers) {
-                           if (wafers < 0.0)
-                               reject("invalid-request",
-                                      "market.queue_wafers." + node +
-                                          " must be >= 0");
-                           market.setQueueWafers(node, Wafers(wafers));
+    if (wafers != nullptr) {
+        parseMarketMap(*wafers, "market.queue_wafers",
+                       [&](const std::string& node, double queue) {
+                           market.setQueueWafers(node, Wafers(queue));
                        });
     }
     return market;
@@ -329,15 +401,6 @@ ServeLimits::jsonLimits() const
 }
 
 ParsedRequest
-ParsedRequest::success(EvalRequest request)
-{
-    ParsedRequest parsed;
-    parsed.ok = true;
-    parsed.request = std::move(request);
-    return parsed;
-}
-
-ParsedRequest
 ParsedRequest::failure(RequestError error)
 {
     ParsedRequest parsed;
@@ -367,135 +430,115 @@ parseRequestLine(const std::string& line, const ServeLimits& limits)
         }
         if (doc.kind() != JsonValue::Kind::Object)
             reject("invalid-request", "request must be a JSON object");
-        requireOnlyKeys(doc,
-                        {"id", "kind", "design", "market", "n_chips",
-                         "seed", "samples", "band", "grid", "deadline_s",
-                         "no_cache", "ensemble", "chiplet"},
-                        "request");
-        EvalRequest request;
-        if (doc.has("id")) {
-            request.id = asStringField(doc.at("id"), "id");
+        const auto [id, kind, design, market, n_chips, seed, samples, band,
+                    grid, deadline, no_cache, ensemble, chiplet] =
+            knownMembers(doc, kRequestFields, "request");
+        // Filled in place: the reply is the request, not a copy of it.
+        ParsedRequest parsed;
+        EvalRequest& request = parsed.request;
+        if (id != nullptr) {
+            request.id = asStringField(*id, "id");
             echoed_id = request.id;
         }
-        if (!doc.has("kind"))
-            reject("invalid-request", "request is missing 'kind'");
-        request.kind = parseKind(asStringField(doc.at("kind"), "kind"));
+        request.kind =
+            parseKind(asStringField(required(kind, "kind", "request"), "kind"));
 
         if (isEvaluationKind(request.kind)) {
-            if (!doc.has("design"))
-                reject("invalid-request", "request is missing 'design'");
-            request.design = parseDesign(doc.at("design"), limits);
-            if (doc.has("market"))
-                request.market = parseMarket(doc.at("market"));
-            if (doc.has("n_chips"))
-                request.n_chips =
-                    positiveNumber(doc.at("n_chips"), "n_chips");
-            if (doc.has("seed"))
-                request.seed = asCount(doc.at("seed"), "seed");
-            if (doc.has("samples")) {
-                const std::uint64_t samples =
-                    asCount(doc.at("samples"), "samples");
-                if (samples == 0)
+            request.design =
+                parseDesign(required(design, "design", "request"), limits);
+            if (market != nullptr)
+                request.market = parseMarket(*market);
+            if (n_chips != nullptr)
+                request.n_chips = positiveNumber(*n_chips, "n_chips");
+            if (seed != nullptr)
+                request.seed = asCount(*seed, "seed");
+            if (samples != nullptr) {
+                const std::uint64_t count = asCount(*samples, "samples");
+                if (count == 0)
                     reject("invalid-request", "field 'samples' must be >= 1");
-                if (samples > limits.max_samples)
+                if (count > limits.max_samples)
                     reject("limit-exceeded",
-                           "samples " + std::to_string(samples) +
+                           "samples " + std::to_string(count) +
                                " exceeds the per-request limit of " +
                                std::to_string(limits.max_samples));
-                request.samples = static_cast<std::size_t>(samples);
+                request.samples = static_cast<std::size_t>(count);
             }
-            if (doc.has("band")) {
-                request.band = positiveNumber(doc.at("band"), "band");
+            if (band != nullptr) {
+                request.band = positiveNumber(*band, "band");
                 if (request.band >= 1.0)
                     reject("invalid-request",
                            "field 'band' must be in (0, 1)");
             }
-            if (doc.has("ensemble")) {
+            if (ensemble != nullptr) {
                 if (request.kind != RequestKind::EnsembleTtm)
                     reject("invalid-request",
                            "field 'ensemble' is only valid for "
                            "ensemble_ttm");
-                EnsembleSpecParse parsed =
-                    parseEnsembleSpec(doc.at("ensemble"));
-                if (!parsed.ok()) {
+                EnsembleSpecParse spec = parseEnsembleSpec(*ensemble);
+                if (!spec.ok()) {
                     // Count before moving: argument evaluation order
                     // is unspecified, so .size() inside the call may
                     // see an already-moved-from vector.
-                    const std::size_t problems = parsed.errors.size();
+                    const std::size_t problems = spec.errors.size();
                     reject("invalid-request",
                            "ensemble spec fails validation with " +
                                std::to_string(problems) + " problem(s)",
-                           std::move(parsed.errors));
+                           std::move(spec.errors));
                 }
-                request.ensemble = std::move(parsed.spec);
+                request.ensemble = std::move(spec.spec);
             } else if (request.kind == RequestKind::EnsembleTtm) {
                 // Default spec: moderate disruption processes on every
                 // process node the design uses.
                 request.ensemble =
                     EnsembleSpec::defaultsFor(designProcesses(request.design));
             }
-            if (doc.has("chiplet")) {
+            if (chiplet != nullptr) {
                 if (request.kind != RequestKind::ChipletPareto)
                     reject("invalid-request",
                            "field 'chiplet' is only valid for "
                            "chiplet_pareto");
-                ChipletSpecParse parsed =
-                    parseChipletSweepSpec(doc.at("chiplet"));
-                if (!parsed.ok()) {
-                    const std::size_t problems = parsed.errors.size();
+                ChipletSpecParse spec = parseChipletSweepSpec(*chiplet);
+                if (!spec.ok()) {
+                    const std::size_t problems = spec.errors.size();
                     reject("invalid-request",
                            "chiplet spec fails validation with " +
                                std::to_string(problems) + " problem(s)",
-                           std::move(parsed.errors));
+                           std::move(spec.errors));
                 }
-                request.chiplet = std::move(parsed.spec);
+                request.chiplet = std::move(spec.spec);
             } else if (request.kind == RequestKind::ChipletPareto) {
                 // Default sweep: the design's own process nodes.
                 request.chiplet = ChipletSweepSpec::defaultsFor(
                     designProcesses(request.design));
             }
-            if (doc.has("grid")) {
+            if (grid != nullptr) {
                 if (request.kind != RequestKind::CapacitySweep)
                     reject("invalid-request",
                            "field 'grid' is only valid for capacity_sweep");
-                const JsonValue& grid = doc.at("grid");
-                if (grid.kind() != JsonValue::Kind::Array ||
-                    grid.asArray().empty())
+                if (grid->kind() != JsonValue::Kind::Array ||
+                    grid->asArray().empty())
                     reject("invalid-request",
                            "field 'grid' must be a non-empty array");
-                if (grid.asArray().size() > limits.max_grid_points)
+                const std::vector<JsonValue>& points = grid->asArray();
+                if (points.size() > limits.max_grid_points)
                     reject("limit-exceeded",
-                           "grid of " +
-                               std::to_string(grid.asArray().size()) +
+                           "grid of " + std::to_string(points.size()) +
                                " points exceeds the limit of " +
                                std::to_string(limits.max_grid_points));
-                request.grid.reserve(grid.asArray().size());
-                for (std::size_t i = 0; i < grid.asArray().size(); ++i) {
-                    const JsonValue& item = grid.asArray()[i];
-                    // Name the element only when it is rejected: a
-                    // sweep grid holds hundreds of values.
-                    const bool positive =
-                        item.kind() == JsonValue::Kind::Number &&
-                        std::isfinite(item.asNumber()) &&
-                        item.asNumber() > 0.0;
+                request.grid.reserve(points.size());
+                for (std::size_t i = 0; i < points.size(); ++i)
                     request.grid.push_back(
-                        positive ? item.asNumber()
-                                 : positiveNumber(item, "grid[" +
-                                                            std::to_string(i) +
-                                                            "]"));
-                }
+                        positiveNumber(points[i], Field("grid", i)));
             }
-            if (doc.has("deadline_s")) {
-                request.deadline_s = nonNegativeNumber(doc.at("deadline_s"),
-                                                       "deadline_s");
+            if (deadline != nullptr) {
+                request.deadline_s = nonNegativeNumber(*deadline, "deadline_s");
                 // Clamp rather than reject: a generous budget is not a
                 // hostile request, the server just won't honor more.
                 if (request.deadline_s > limits.max_deadline_s)
                     request.deadline_s = limits.max_deadline_s;
             }
-            if (doc.has("no_cache"))
-                request.no_cache =
-                    asBoolField(doc.at("no_cache"), "no_cache");
+            if (no_cache != nullptr)
+                request.no_cache = asBoolField(*no_cache, "no_cache");
             if (request.kind == RequestKind::CapacitySweep &&
                 request.grid.empty()) {
                 // Default grid: 10% steps up to full capacity.
@@ -503,7 +546,8 @@ parseRequestLine(const std::string& line, const ServeLimits& limits)
                     request.grid.push_back(0.1 * i);
             }
         }
-        return ParsedRequest::success(std::move(request));
+        parsed.ok = true;
+        return parsed;
     } catch (const ParseFailure& failure) {
         RequestError error = failure.error;
         error.id = echoed_id;
@@ -549,7 +593,7 @@ errorReply(const RequestError& error)
     }
     json.endObject();
     json.endObject();
-    return json.str();
+    return std::move(json).str();
 }
 
 std::string
@@ -569,7 +613,7 @@ overloadedReply(const std::string& id, std::size_t queue_depth,
                    " in flight); retry with backoff");
     json.endObject();
     json.endObject();
-    return json.str();
+    return std::move(json).str();
 }
 
 std::string
@@ -586,7 +630,7 @@ drainingReply(const std::string& id)
                "server is draining and no longer admits work");
     json.endObject();
     json.endObject();
-    return json.str();
+    return std::move(json).str();
 }
 
 std::string
@@ -594,7 +638,12 @@ resultReply(const std::string& id, RequestKind kind,
             const std::string& status, const std::string& cache,
             const std::string& key, const std::string& payload)
 {
+    // The envelope's field names and punctuation; an id that needs
+    // escaping is the only way past this, at the cost of one regrowth.
+    constexpr std::size_t kEnvelopeBytes = 96;
     JsonWriter json;
+    json.reserve(kEnvelopeBytes + id.size() + status.size() + cache.size() +
+                 key.size() + payload.size());
     json.beginObject();
     writeIdField(json, id);
     json.field("status", status);
@@ -606,7 +655,7 @@ resultReply(const std::string& id, RequestKind kind,
     json.key("result");
     json.raw(payload);
     json.endObject();
-    return json.str();
+    return std::move(json).str();
 }
 
 } // namespace ttmcas::serve

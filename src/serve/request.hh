@@ -139,7 +139,6 @@ struct ParsedRequest
     EvalRequest request;  ///< valid when ok
     RequestError error;   ///< valid when !ok
 
-    static ParsedRequest success(EvalRequest request);
     static ParsedRequest failure(RequestError error);
 };
 

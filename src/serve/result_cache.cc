@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "support/error.hh"
 #include "support/json.hh"
@@ -27,7 +28,7 @@ renderEntry(const std::string& key, const std::string& kernel,
     json.field("payload_bytes", static_cast<std::uint64_t>(payload.size()));
     json.field("payload", payload);
     json.endObject();
-    return json.str();
+    return std::move(json).str();
 }
 
 /**

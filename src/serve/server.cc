@@ -401,7 +401,7 @@ EvalServer::healthReply(const std::string& id) const
     json.field("workers",
                static_cast<std::uint64_t>(_pool.threadCount()));
     json.endObject();
-    return json.str();
+    return std::move(json).str();
 }
 
 std::string
@@ -443,7 +443,7 @@ EvalServer::statsReply(const std::string& id) const
     json.field("orphans_deleted", stats.cache.orphans_deleted);
     json.endObject();
     json.endObject();
-    return json.str();
+    return std::move(json).str();
 }
 
 } // namespace ttmcas::serve

@@ -191,7 +191,7 @@ SweepCheckpoint::toJsonLocked() const
     json.key("points");
     json.raw(points);
     json.endObject();
-    return json.str();
+    return std::move(json).str();
 }
 
 std::string

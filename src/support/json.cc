@@ -1,9 +1,15 @@
 #include "support/json.hh"
 
 #include <algorithm>
+#include <cerrno>
+#include <cfloat>
 #include <charconv>
+#include <locale.h>
+#include <stdlib.h>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <iterator>
 #include <utility>
 
 #include "support/error.hh"
@@ -110,43 +116,54 @@ JsonWriter::separate()
         _pending_key = false;
         return;
     }
-    if (!_has_item.empty()) {
-        if (_has_item.back())
+    if (_depth != 0) {
+        const std::uint64_t bit = std::uint64_t{1} << (_depth - 1);
+        if ((_has_item & bit) != 0)
             _out += ',';
-        _has_item.back() = true;
+        _has_item |= bit;
     }
+}
+
+void
+JsonWriter::open(char bracket)
+{
+    TTMCAS_INVARIANT(_depth < kMaxDepth, "JsonWriter nesting too deep");
+    separate();
+    _out += bracket;
+    _has_item &= ~(std::uint64_t{1} << _depth);
+    ++_depth;
+}
+
+void
+JsonWriter::close(char bracket)
+{
+    TTMCAS_INVARIANT(_depth != 0, "JsonWriter close without an open");
+    --_depth;
+    _out += bracket;
 }
 
 void
 JsonWriter::beginObject()
 {
-    separate();
-    _out += '{';
-    _has_item.push_back(false);
+    open('{');
 }
 
 void
 JsonWriter::endObject()
 {
-    TTMCAS_INVARIANT(!_has_item.empty(), "endObject without beginObject");
-    _has_item.pop_back();
-    _out += '}';
+    close('}');
 }
 
 void
 JsonWriter::beginArray()
 {
-    separate();
-    _out += '[';
-    _has_item.push_back(false);
+    open('[');
 }
 
 void
 JsonWriter::endArray()
 {
-    TTMCAS_INVARIANT(!_has_item.empty(), "endArray without beginArray");
-    _has_item.pop_back();
-    _out += ']';
+    close(']');
 }
 
 void
@@ -204,7 +221,7 @@ JsonWriter::null()
 }
 
 void
-JsonWriter::raw(const std::string& json)
+JsonWriter::raw(std::string_view json)
 {
     separate();
     _out += json;
@@ -276,89 +293,39 @@ JsonValue::asArray() const
     return _items;
 }
 
-bool
-JsonValue::has(const std::string& name) const
+const std::vector<JsonValue>&
+JsonValue::members() const
+{
+    TTMCAS_REQUIRE(_kind == Kind::Object, "JSON value is not an object");
+    return _items;
+}
+
+const JsonValue*
+JsonValue::find(std::string_view name) const
 {
     if (_kind != Kind::Object)
-        return false;
-    for (const std::string& k : _keys) {
-        if (k == name)
-            return true;
+        return nullptr;
+    for (const JsonValue& member : _items) {
+        if (member._key == name)
+            return &member;
     }
-    return false;
+    return nullptr;
+}
+
+bool
+JsonValue::has(std::string_view name) const
+{
+    return find(name) != nullptr;
 }
 
 const JsonValue&
-JsonValue::at(const std::string& name) const
+JsonValue::at(std::string_view name) const
 {
     TTMCAS_REQUIRE(_kind == Kind::Object, "JSON value is not an object");
-    for (std::size_t i = 0; i < _keys.size(); ++i) {
-        if (_keys[i] == name)
-            return _items[i];
-    }
-    throw ModelError("JSON object has no member '" + name + "'");
-}
-
-const std::vector<std::string>&
-JsonValue::keys() const
-{
-    TTMCAS_REQUIRE(_kind == Kind::Object, "JSON value is not an object");
-    return _keys;
-}
-
-JsonValue
-JsonValue::makeNull()
-{
-    return JsonValue{};
-}
-
-JsonValue
-JsonValue::makeBool(bool flag)
-{
-    JsonValue v;
-    v._kind = Kind::Boolean;
-    v._bool = flag;
-    return v;
-}
-
-JsonValue
-JsonValue::makeNumber(double number)
-{
-    JsonValue v;
-    v._kind = Kind::Number;
-    v._number = number;
-    return v;
-}
-
-JsonValue
-JsonValue::makeString(std::string text)
-{
-    JsonValue v;
-    v._kind = Kind::String;
-    v._string = std::move(text);
-    return v;
-}
-
-JsonValue
-JsonValue::makeArray(std::vector<JsonValue> items)
-{
-    JsonValue v;
-    v._kind = Kind::Array;
-    v._items = std::move(items);
-    return v;
-}
-
-JsonValue
-JsonValue::makeObject(std::vector<std::string> keys,
-                      std::vector<JsonValue> values)
-{
-    TTMCAS_INVARIANT(keys.size() == values.size(),
-                     "object keys/values size mismatch");
-    JsonValue v;
-    v._kind = Kind::Object;
-    v._keys = std::move(keys);
-    v._items = std::move(values);
-    return v;
+    if (const JsonValue* member = find(name))
+        return *member;
+    throw ModelError("JSON object has no member '" + std::string(name) +
+                     "'");
 }
 
 // ---------------------------------------------------------------------
@@ -366,10 +333,73 @@ JsonValue::makeObject(std::vector<std::string> keys,
 
 namespace {
 
+/** The bytes a number run may hold; the converter judges the run. */
+bool
+isNumberByte(char c)
+{
+    return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+           c == '+' || c == '-';
+}
+
+/**
+ * Whether C's strtod, in the "C" locale, consumes all of @p run
+ * without ERANGE. Only runs whose value is a non-zero magnitude of at
+ * most DBL_MIN get here: there strtod rejects an inexact subnormal and
+ * an input that is tiny before it rounds up to DBL_MIN, and from_chars
+ * reports neither.
+ */
+bool
+strtodAcceptsTiny(std::string_view run)
+{
+    static const locale_t c_locale =
+        newlocale(LC_ALL_MASK, "C", static_cast<locale_t>(nullptr));
+    const std::string text(run); // strtod needs a terminated string
+    char* end = nullptr;
+    const int saved = errno;
+    errno = 0;
+    (void)strtod_l(text.c_str(), &end, c_locale);
+    const bool range_error = errno == ERANGE;
+    errno = saved;
+    return !range_error && end == text.c_str() + text.size();
+}
+
+/**
+ * Convert a number run the way strtod does in the "C" locale (see the
+ * number contract in json.hh); false when strtod would reject it.
+ */
+bool
+convertNumber(std::string_view run, double& value)
+{
+    const char* first = run.data();
+    const char* const last = run.data() + run.size();
+    // strtod takes one leading '+'; from_chars takes none.
+    if (first != last && *first == '+') {
+        ++first;
+        if (first != last && (*first == '+' || *first == '-'))
+            return false;
+    }
+    // result_out_of_range covers overflow and underflow to zero.
+    const auto [end, error] = std::from_chars(first, last, value);
+    if (error != std::errc() || end != last)
+        return false;
+    if (value != 0.0 && std::fabs(value) <= DBL_MIN)
+        return strtodAcceptsTiny(run);
+    return true;
+}
+
+} // namespace
+
+namespace detail {
+
+/**
+ * The recursive-descent parser. Containers gather their members on
+ * one stack shared by the whole parse and move them into a vector of
+ * exactly the right size when they close, so no vector ever grows.
+ */
 class JsonParser
 {
   public:
-    JsonParser(const std::string& text, const JsonLimits& limits)
+    JsonParser(std::string_view text, const JsonLimits& limits)
         : _text(text), _limits(limits)
     {}
 
@@ -382,7 +412,8 @@ class JsonParser
                  std::to_string(_limits.max_input_bytes) +
                  "-byte input limit");
         }
-        JsonValue value = parseValue();
+        JsonValue value;
+        parseValue(value);
         skipWhitespace();
         if (_pos != _text.size())
             fail("trailing content after JSON document");
@@ -390,6 +421,9 @@ class JsonParser
     }
 
   private:
+    /** Stack entries reserved on first use: a request line's worth. */
+    static constexpr std::size_t kStackReserve = 32;
+
     /** RAII nesting counter: entering an object/array costs one level. */
     class DepthGuard
     {
@@ -442,77 +476,95 @@ class JsonParser
         ++_pos;
     }
 
-    bool consumeLiteral(const char* literal)
+    bool consumeLiteral(std::string_view literal)
     {
-        std::size_t len = 0;
-        while (literal[len] != '\0')
-            ++len;
-        if (_text.compare(_pos, len, literal) != 0)
+        if (_text.substr(_pos, literal.size()) != literal)
             return false;
-        _pos += len;
+        _pos += literal.size();
         return true;
     }
 
-    JsonValue parseValue()
+    void parseValue(JsonValue& out)
     {
         skipWhitespace();
-        const char c = peek();
-        switch (c) {
+        switch (peek()) {
         case '{': {
             const DepthGuard guard(*this);
-            return parseObject();
+            parseObject(out);
+            return;
         }
         case '[': {
             const DepthGuard guard(*this);
-            return parseArray();
+            parseArray(out);
+            return;
         }
-        case '"': return JsonValue::makeString(parseString());
+        case '"':
+            out._kind = JsonValue::Kind::String;
+            parseString(out._string);
+            return;
         case 't':
-            if (consumeLiteral("true"))
-                return JsonValue::makeBool(true);
-            fail("invalid literal");
+            if (!consumeLiteral("true"))
+                fail("invalid literal");
+            out._kind = JsonValue::Kind::Boolean;
+            out._bool = true;
+            return;
         case 'f':
-            if (consumeLiteral("false"))
-                return JsonValue::makeBool(false);
-            fail("invalid literal");
+            if (!consumeLiteral("false"))
+                fail("invalid literal");
+            out._kind = JsonValue::Kind::Boolean;
+            return;
         case 'n':
-            if (consumeLiteral("null"))
-                return JsonValue::makeNull();
-            fail("invalid literal");
-        default: return parseNumber();
+            if (!consumeLiteral("null"))
+                fail("invalid literal");
+            return;
+        default: parseNumber(out); return;
         }
     }
 
-    JsonValue parseObject()
+    /** Push a member or element, reserving the stack on first use. */
+    void push(JsonValue&& value)
+    {
+        if (_stack.capacity() == 0)
+            _stack.reserve(kStackReserve);
+        _stack.push_back(std::move(value));
+    }
+
+    /** Move the stack entries above @p base into @p out's items. */
+    void collect(JsonValue& out, std::size_t base)
+    {
+        out._items.assign(std::make_move_iterator(_stack.begin() + base),
+                          std::make_move_iterator(_stack.end()));
+        _stack.resize(base);
+    }
+
+    void parseObject(JsonValue& out)
     {
         expect('{');
-        std::vector<std::string> keys;
-        std::vector<JsonValue> values;
+        out._kind = JsonValue::Kind::Object;
+        const std::size_t base = _stack.size();
         skipWhitespace();
         if (peek() == '}') {
             ++_pos;
-            return JsonValue::makeObject(std::move(keys),
-                                         std::move(values));
+            return;
         }
         for (;;) {
             skipWhitespace();
-            std::string name = parseString();
+            JsonValue member;
+            parseString(member._key);
             skipWhitespace();
             expect(':');
-            JsonValue value = parseValue();
-            // Last duplicate wins, mirroring common JSON libraries.
-            bool replaced = false;
-            for (std::size_t i = 0; i < keys.size(); ++i) {
-                if (keys[i] == name) {
-                    values[i] = std::move(value);
-                    replaced = true;
-                    break;
-                }
-            }
-            if (!replaced) {
-                keys.push_back(std::move(name));
-                values.push_back(std::move(value));
-            }
+            parseValue(member);
+            // Last duplicate wins, in the first one's place, mirroring
+            // common JSON libraries.
+            const auto duplicate = std::find_if(
+                _stack.begin() + base, _stack.end(),
+                [&](const JsonValue& other) {
+                    return other._key == member._key;
+                });
+            if (duplicate != _stack.end())
+                *duplicate = std::move(member);
+            else
+                push(std::move(member));
             skipWhitespace();
             const char next = peek();
             if (next == ',') {
@@ -525,20 +577,23 @@ class JsonParser
             }
             fail("expected ',' or '}' in object");
         }
-        return JsonValue::makeObject(std::move(keys), std::move(values));
+        collect(out, base);
     }
 
-    JsonValue parseArray()
+    void parseArray(JsonValue& out)
     {
         expect('[');
-        std::vector<JsonValue> items;
+        out._kind = JsonValue::Kind::Array;
+        const std::size_t base = _stack.size();
         skipWhitespace();
         if (peek() == ']') {
             ++_pos;
-            return JsonValue::makeArray(std::move(items));
+            return;
         }
         for (;;) {
-            items.push_back(parseValue());
+            JsonValue item;
+            parseValue(item);
+            push(std::move(item));
             skipWhitespace();
             const char next = peek();
             if (next == ',') {
@@ -551,7 +606,7 @@ class JsonParser
             }
             fail("expected ',' or ']' in array");
         }
-        return JsonValue::makeArray(std::move(items));
+        collect(out, base);
     }
 
     void checkStringLength(const std::string& out)
@@ -563,28 +618,50 @@ class JsonParser
         }
     }
 
-    std::string parseString()
+    /**
+     * Append the run of plain bytes at _pos to @p out in one piece: up
+     * to a quote, a backslash, a rejected control character or the end
+     * of input. A run that makes @p out too long fails just past its
+     * first excess byte, where a byte-by-byte copy would stop.
+     */
+    void appendPlainRun(std::string& out)
+    {
+        const std::size_t start = _pos;
+        std::size_t end = start;
+        while (end < _text.size()) {
+            const char c = _text[end];
+            if (c == '"' || c == '\\' ||
+                (_limits.reject_control_chars &&
+                 static_cast<unsigned char>(c) < 0x20))
+                break;
+            ++end;
+        }
+        const std::size_t max = _limits.max_string_bytes;
+        if (max != 0 && out.size() + (end - start) > max) {
+            _pos = start + (max > out.size() ? max - out.size() : 0) + 1;
+            fail("string longer than " + std::to_string(max) + " bytes");
+        }
+        out.append(_text.substr(start, end - start));
+        _pos = end;
+    }
+
+    void parseString(std::string& out)
     {
         expect('"');
-        std::string out;
         for (;;) {
+            appendPlainRun(out);
             if (_pos >= _text.size())
                 fail("unterminated string");
             const char c = _text[_pos++];
             if (c == '"') {
                 checkStringLength(out);
-                return out;
+                return;
             }
             if (c != '\\') {
-                if (_limits.reject_control_chars &&
-                    static_cast<unsigned char>(c) < 0x20) {
-                    --_pos;
-                    fail("raw control character in string (must be "
-                         "\\u-escaped)");
-                }
-                out += c;
-                checkStringLength(out);
-                continue;
+                // The plain run stopped at a rejected control byte.
+                --_pos;
+                fail("raw control character in string (must be "
+                     "\\u-escaped)");
             }
             if (_pos >= _text.size())
                 fail("unterminated escape");
@@ -635,49 +712,36 @@ class JsonParser
         }
     }
 
-    JsonValue parseNumber()
+    void parseNumber(JsonValue& out)
     {
         const std::size_t start = _pos;
         if (_pos < _text.size() && _text[_pos] == '-')
             ++_pos;
-        while (_pos < _text.size()) {
-            const char c = _text[_pos];
-            if ((c >= '0' && c <= '9') || c == '.' || c == 'e' ||
-                c == 'E' || c == '+' || c == '-') {
-                ++_pos;
-            } else {
-                break;
-            }
-        }
+        while (_pos < _text.size() && isNumberByte(_text[_pos]))
+            ++_pos;
         if (_pos == start)
             fail("invalid value");
-        const std::string token = _text.substr(start, _pos - start);
-        try {
-            std::size_t used = 0;
-            const double number = std::stod(token, &used);
-            if (used != token.size())
-                fail("invalid number '" + token + "'");
-            return JsonValue::makeNumber(number);
-        } catch (const ModelError&) {
-            throw;
-        } catch (const std::exception&) {
-            fail("invalid number '" + token + "'");
-        }
+        const std::string_view run = _text.substr(start, _pos - start);
+        if (!convertNumber(run, out._number))
+            fail("invalid number '" + std::string(run) + "'");
+        out._kind = JsonValue::Kind::Number;
     }
 
-    const std::string& _text;
+    std::string_view _text;
     const JsonLimits& _limits;
     std::size_t _pos = 0;
     std::size_t _depth = 0;
+    /** Members and elements of every open container, innermost last. */
+    std::vector<JsonValue> _stack;
 };
 
-} // namespace
+} // namespace detail
 
 JsonValue
 parseJson(const std::string& text)
 {
     const JsonLimits limits;
-    return JsonParser(text, limits).parse();
+    return detail::JsonParser(text, limits).parse();
 }
 
 JsonValue
@@ -685,7 +749,7 @@ parseJson(const std::string& text, const JsonLimits& limits)
 {
     TTMCAS_REQUIRE(limits.max_depth >= 1,
                    "JsonLimits.max_depth must be >= 1");
-    return JsonParser(text, limits).parse();
+    return detail::JsonParser(text, limits).parse();
 }
 
 } // namespace ttmcas

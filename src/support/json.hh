@@ -3,32 +3,53 @@
 
 /**
  * @file
- * Minimal JSON support for the observability layer (ttmcas_obs).
+ * The one JSON reader and writer of the library.
  *
- * The observability artifacts — Chrome trace files, metrics snapshots,
- * run manifests, bench JSON — are written and (for round-trip tests
- * and tooling) read back without any external dependency. This header
- * provides the two halves:
+ * Everything that ttmcas reads or writes as JSON goes through this
+ * header: the ttm_serve wire (request lines in, replies out), the
+ * dataset, ensemble and chiplet config files, run manifests,
+ * checkpoints, metrics snapshots, Chrome trace files and bench JSON.
+ * It has two halves and no external dependency:
  *
  *  - JsonWriter: an append-only streaming writer with correct string
- *    escaping and automatic comma/indent management. It cannot emit
+ *    escaping and automatic comma management. It cannot emit
  *    malformed structure as long as begin/end calls are balanced.
- *  - JsonValue / parseJson(): a small recursive-descent parser for the
- *    full JSON grammar (objects, arrays, strings with escapes, numbers,
- *    booleans, null). Errors throw ModelError with byte offsets.
+ *  - JsonValue / parseJson(): a recursive-descent parser for the full
+ *    JSON grammar (objects, arrays, strings with escapes, numbers,
+ *    booleans, null). Errors throw ModelError with byte offsets;
+ *    JsonLimits bounds what untrusted input may cost.
  *
  * This is deliberately not a general-purpose JSON library: numbers are
  * always doubles, object key order is preserved on parse but duplicate
  * keys keep the last value, and the writer emits UTF-8 pass-through
  * (non-ASCII bytes are copied, control characters are \u-escaped).
+ *
+ * Number contract. The parser scans the longest run of the bytes
+ * `0-9 . e E + -` and converts it with std::from_chars, so the value
+ * never depends on the process locale. It accepts exactly what
+ * C's strtod accepts for such a run in the "C" locale: one leading
+ * `+` is allowed (`+5`), `.5` and `5.` are numbers, and a run that
+ * strtod would not consume whole (`1e`, `--1`, `1.2.3`) is rejected.
+ * Overflow (`1e400`) and underflow are rejected as strtod's ERANGE
+ * rejects them: a result that is zero from non-zero digits, or a
+ * subnormal that is not exact (`1e-310`, `4.9e-324`). Every rejection
+ * reads "invalid number '<run>'" at the byte just past the run.
+ *
+ * Cost. A document parses with one allocation per non-empty object or
+ * array (members gather on a stack the parser reuses, then move into a
+ * vector of exactly their size), plus one per string or key longer
+ * than the standard library's short-string buffer. Numbers, literals
+ * and member lookups allocate nothing.
  */
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace ttmcas {
@@ -85,7 +106,7 @@ class JsonWriter
     /** Emit a null value. */
     void null();
     /** Emit pre-rendered raw JSON (caller guarantees validity). */
-    void raw(const std::string& json);
+    void raw(std::string_view json);
 
     /** key() + value() in one call, for each overload. */
     void field(std::string_view name, std::string_view text);
@@ -98,17 +119,33 @@ class JsonWriter
     /** @copydoc field(std::string_view, std::string_view) */
     void field(std::string_view name, bool flag);
 
-    /** The document written so far. */
-    std::string str() const { return _out; }
+    /** Reserve room for a document of @p bytes. */
+    void reserve(std::size_t bytes) { _out.reserve(bytes); }
+
+    /** The document written so far (a copy). */
+    std::string str() const& { return _out; }
+    /** The document written so far, moved out of a finished writer. */
+    std::string str() && { return std::move(_out); }
 
   private:
     void separate();
+    void open(char bracket);
+    void close(char bracket);
+
+    /** Deepest nesting the writer supports (one bit per open level). */
+    static constexpr unsigned kMaxDepth = 64;
 
     std::string _out;
-    /** One entry per open container: true = a value was already written. */
-    std::vector<bool> _has_item;
+    /** Bit d set: the container open at depth d already holds a value. */
+    std::uint64_t _has_item = 0;
+    /** Number of open containers. */
+    unsigned _depth = 0;
     bool _pending_key = false;
 };
+
+namespace detail {
+class JsonParser;
+} // namespace detail
 
 /** Parsed JSON value (tagged union). */
 class JsonValue
@@ -143,34 +180,35 @@ class JsonValue
     /** The array elements; throws ModelError on kind mismatch. */
     const std::vector<JsonValue>& asArray() const;
 
+    /**
+     * The members of an object in document order, each carrying its
+     * name in key(); throws ModelError on kind mismatch.
+     */
+    const std::vector<JsonValue>& members() const;
+    /** This value's name inside its parent object ("" elsewhere). */
+    const std::string& key() const { return _key; }
+
     /** True for an object containing @p name. */
-    bool has(const std::string& name) const;
+    bool has(std::string_view name) const;
     /**
      * Member lookup; throws ModelError when this is not an object or
      * the key is absent.
      */
-    const JsonValue& at(const std::string& name) const;
-    /** Object keys in document order; throws on kind mismatch. */
-    const std::vector<std::string>& keys() const;
-
-    /** @name Construction helpers (used by the parser) */
-    ///@{
-    static JsonValue makeNull();
-    static JsonValue makeBool(bool flag);
-    static JsonValue makeNumber(double number);
-    static JsonValue makeString(std::string text);
-    static JsonValue makeArray(std::vector<JsonValue> items);
-    static JsonValue makeObject(std::vector<std::string> keys,
-                                std::vector<JsonValue> values);
-    ///@}
+    const JsonValue& at(std::string_view name) const;
+    /** Member lookup: nullptr when absent or when this is no object. */
+    const JsonValue* find(std::string_view name) const;
 
   private:
+    friend class detail::JsonParser;
+
     Kind _kind = Kind::Null;
     bool _bool = false;
     double _number = 0.0;
     std::string _string;
-    std::vector<JsonValue> _items;       // array elements / object values
-    std::vector<std::string> _keys;      // object keys (document order)
+    /** The member name when this value sits in an object. */
+    std::string _key;
+    /** Array elements, or object members (each with its _key). */
+    std::vector<JsonValue> _items;
 };
 
 /**

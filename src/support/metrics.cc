@@ -7,6 +7,7 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <utility>
 
 #include "support/error.hh"
 #include "support/json.hh"
@@ -243,7 +244,7 @@ MetricsSnapshot::toJson() const
     }
     json.endObject();
     json.endObject();
-    return json.str();
+    return std::move(json).str();
 }
 
 MetricsSnapshot

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
 #include "support/json.hh"
 #include "support/metrics.hh"
@@ -112,7 +113,7 @@ RunManifest::toJson() const
     json.field("mean_ns_per_sample", kernel_metrics.mean_ns_per_sample);
     json.endObject();
     json.endObject();
-    return json.str();
+    return std::move(json).str();
 }
 
 RunManifest
@@ -144,10 +145,9 @@ RunManifest::fromJson(const std::string& text)
     manifest.total_failures = static_cast<std::uint64_t>(
         root.at("total_failures").asNumber());
     const JsonValue& counts = root.at("failure_counts");
-    for (const std::string& name : counts.keys()) {
+    for (const JsonValue& count : counts.members()) {
         manifest.failure_counts.emplace_back(
-            name,
-            static_cast<std::uint64_t>(counts.at(name).asNumber()));
+            count.key(), static_cast<std::uint64_t>(count.asNumber()));
     }
     // Resilience fields arrived after the first manifest release, so
     // they stay optional on parse: old manifests load with defaults.

@@ -172,7 +172,7 @@ chromeTraceJson()
     json.endArray();
     json.field("displayTimeUnit", "ms");
     json.endObject();
-    return json.str();
+    return std::move(json).str();
 }
 
 void

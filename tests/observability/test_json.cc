@@ -93,9 +93,9 @@ TEST(JsonParseTest, ParsesAllValueKinds)
 TEST(JsonParseTest, KeysKeepDocumentOrder)
 {
     const JsonValue value = parseJson(R"({"b":1,"a":2})");
-    ASSERT_EQ(value.keys().size(), 2u);
-    EXPECT_EQ(value.keys()[0], "b");
-    EXPECT_EQ(value.keys()[1], "a");
+    ASSERT_EQ(value.members().size(), 2u);
+    EXPECT_EQ(value.members()[0].key(), "b");
+    EXPECT_EQ(value.members()[1].key(), "a");
 }
 
 TEST(JsonParseTest, DecodesUnicodeEscapes)

@@ -131,9 +131,9 @@ rewriteValue(JsonWriter& json, const JsonValue& value)
         break;
     case JsonValue::Kind::Object:
         json.beginObject();
-        for (const std::string& key : value.keys()) {
-            json.key(key);
-            rewriteValue(json, value.at(key));
+        for (const JsonValue& member : value.members()) {
+            json.key(member.key());
+            rewriteValue(json, member);
         }
         json.endObject();
         break;
@@ -148,12 +148,13 @@ TEST(RunManifestTest, ManifestsWithoutResilienceFieldsStillParse)
     const JsonValue document = parseJson(manifest.toJson());
     JsonWriter stripped;
     stripped.beginObject();
-    for (const std::string& key : document.keys()) {
+    for (const JsonValue& member : document.members()) {
+        const std::string& key = member.key();
         if (key == "disposition" ||
             key == "parent_checkpoint" || key == "checkpoint_points")
             continue;
         stripped.key(key);
-        rewriteValue(stripped, document.at(key));
+        rewriteValue(stripped, member);
     }
     stripped.endObject();
     const obs::RunManifest reparsed =
@@ -171,9 +172,10 @@ TEST(RunManifestTest, ManifestsWithTotalRetriesStillParse)
     const JsonValue document = parseJson(manifest.toJson());
     JsonWriter legacy;
     legacy.beginObject();
-    for (const std::string& key : document.keys()) {
+    for (const JsonValue& member : document.members()) {
+        const std::string& key = member.key();
         legacy.key(key);
-        rewriteValue(legacy, document.at(key));
+        rewriteValue(legacy, member);
         if (key == "disposition") {
             legacy.key("total_retries");
             legacy.value(17.0);

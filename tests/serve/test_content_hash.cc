@@ -193,7 +193,8 @@ TEST(EvalCacheKey, KernelParametersAreAllSignificant)
     other.samples += 1;
     EXPECT_NE(evalCacheKey(design, market, other), key);
     other = base;
-    other.grid = {0.5, 1.0};
+    const std::vector<double> grid = {0.5, 1.0};
+    other.grid = grid;
     EXPECT_NE(evalCacheKey(design, market, other), key);
 }
 
