@@ -401,20 +401,11 @@ ServeLimits::jsonLimits() const
 }
 
 ParsedRequest
-ParsedRequest::failure(RequestError error)
-{
-    ParsedRequest parsed;
-    parsed.ok = false;
-    parsed.error = std::move(error);
-    return parsed;
-}
-
-ParsedRequest
 parseRequestLine(const std::string& line, const ServeLimits& limits)
 {
-    // Best-effort id echo: filled in as soon as the id parses, so even
-    // later failures correlate with the client's request.
-    std::string echoed_id;
+    // One result object on every path, so it is built in place.
+    ParsedRequest parsed;
+    EvalRequest& request = parsed.request;
     try {
         if (line.size() > limits.max_request_bytes)
             reject("limit-exceeded",
@@ -433,13 +424,10 @@ parseRequestLine(const std::string& line, const ServeLimits& limits)
         const auto [id, kind, design, market, n_chips, seed, samples, band,
                     grid, deadline, no_cache, ensemble, chiplet] =
             knownMembers(doc, kRequestFields, "request");
-        // Filled in place: the reply is the request, not a copy of it.
-        ParsedRequest parsed;
-        EvalRequest& request = parsed.request;
-        if (id != nullptr) {
+        // Best-effort id echo: set as soon as the id parses, so even
+        // later failures correlate with the client's request.
+        if (id != nullptr)
             request.id = asStringField(*id, "id");
-            echoed_id = request.id;
-        }
         request.kind =
             parseKind(asStringField(required(kind, "kind", "request"), "kind"));
 
@@ -549,18 +537,16 @@ parseRequestLine(const std::string& line, const ServeLimits& limits)
         parsed.ok = true;
         return parsed;
     } catch (const ParseFailure& failure) {
-        RequestError error = failure.error;
-        error.id = echoed_id;
-        return ParsedRequest::failure(std::move(error));
+        parsed.error = failure.error;
     } catch (const std::exception& unexpected) {
         // Belt and braces: no parse path should throw anything else,
         // but a client must still get a structured reply if one does.
-        RequestError error;
-        error.id = echoed_id;
-        error.code = "internal";
-        error.message = unexpected.what();
-        return ParsedRequest::failure(std::move(error));
+        parsed.error.code = "internal";
+        parsed.error.message = unexpected.what();
     }
+    parsed.error.id = std::move(request.id);
+    request = EvalRequest{};
+    return parsed;
 }
 
 namespace {

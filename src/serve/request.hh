@@ -138,8 +138,6 @@ struct ParsedRequest
     bool ok = false;
     EvalRequest request;  ///< valid when ok
     RequestError error;   ///< valid when !ok
-
-    static ParsedRequest failure(RequestError error);
 };
 
 /**

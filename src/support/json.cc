@@ -392,9 +392,10 @@ convertNumber(std::string_view run, double& value)
 namespace detail {
 
 /**
- * The recursive-descent parser. Containers gather their members on
- * one stack shared by the whole parse and move them into a vector of
- * exactly the right size when they close, so no vector ever grows.
+ * The recursive-descent parser. Every value is parsed in place on one
+ * stack shared by the whole parse; a container's members sit above it
+ * until it closes, then move into a vector of exactly their number.
+ * So no vector ever grows, and each value moves once.
  */
 class JsonParser
 {
@@ -412,16 +413,16 @@ class JsonParser
                  std::to_string(_limits.max_input_bytes) +
                  "-byte input limit");
         }
-        JsonValue value;
-        parseValue(value);
+        _stack.reserve(kStackReserve);
+        parseValue(push());
         skipWhitespace();
         if (_pos != _text.size())
             fail("trailing content after JSON document");
-        return value;
+        return std::move(_stack.front());
     }
 
   private:
-    /** Stack entries reserved on first use: a request line's worth. */
+    /** Stack entries reserved up front: a request line's worth. */
     static constexpr std::size_t kStackReserve = 32;
 
     /** RAII nesting counter: entering an object/array costs one level. */
@@ -484,63 +485,68 @@ class JsonParser
         return true;
     }
 
-    void parseValue(JsonValue& out)
+    /**
+     * Parse a value into stack entry @p slot. Entries are named by
+     * index, not reference: a nested container pushes onto the same
+     * stack, which may move it.
+     */
+    void parseValue(std::size_t slot)
     {
         skipWhitespace();
         switch (peek()) {
         case '{': {
             const DepthGuard guard(*this);
-            parseObject(out);
+            parseObject(slot);
             return;
         }
         case '[': {
             const DepthGuard guard(*this);
-            parseArray(out);
+            parseArray(slot);
             return;
         }
         case '"':
-            out._kind = JsonValue::Kind::String;
-            parseString(out._string);
+            _stack[slot]._kind = JsonValue::Kind::String;
+            parseString(_stack[slot]._string);
             return;
         case 't':
             if (!consumeLiteral("true"))
                 fail("invalid literal");
-            out._kind = JsonValue::Kind::Boolean;
-            out._bool = true;
+            _stack[slot]._kind = JsonValue::Kind::Boolean;
+            _stack[slot]._bool = true;
             return;
         case 'f':
             if (!consumeLiteral("false"))
                 fail("invalid literal");
-            out._kind = JsonValue::Kind::Boolean;
+            _stack[slot]._kind = JsonValue::Kind::Boolean;
             return;
         case 'n':
             if (!consumeLiteral("null"))
                 fail("invalid literal");
             return;
-        default: parseNumber(out); return;
+        default: parseNumber(_stack[slot]); return;
         }
     }
 
-    /** Push a member or element, reserving the stack on first use. */
-    void push(JsonValue&& value)
+    /** Push an empty entry; its index. */
+    std::size_t push()
     {
-        if (_stack.capacity() == 0)
-            _stack.reserve(kStackReserve);
-        _stack.push_back(std::move(value));
+        _stack.emplace_back();
+        return _stack.size() - 1;
     }
 
-    /** Move the stack entries above @p base into @p out's items. */
-    void collect(JsonValue& out, std::size_t base)
+    /** Move the entries above @p base into entry @p slot's items. */
+    void collect(std::size_t slot, std::size_t base)
     {
-        out._items.assign(std::make_move_iterator(_stack.begin() + base),
-                          std::make_move_iterator(_stack.end()));
+        _stack[slot]._items.assign(
+            std::make_move_iterator(_stack.begin() + base),
+            std::make_move_iterator(_stack.end()));
         _stack.resize(base);
     }
 
-    void parseObject(JsonValue& out)
+    void parseObject(std::size_t slot)
     {
         expect('{');
-        out._kind = JsonValue::Kind::Object;
+        _stack[slot]._kind = JsonValue::Kind::Object;
         const std::size_t base = _stack.size();
         skipWhitespace();
         if (peek() == '}') {
@@ -549,22 +555,23 @@ class JsonParser
         }
         for (;;) {
             skipWhitespace();
-            JsonValue member;
-            parseString(member._key);
+            const std::size_t member = push();
+            parseString(_stack[member]._key);
             skipWhitespace();
             expect(':');
             parseValue(member);
             // Last duplicate wins, in the first one's place, mirroring
             // common JSON libraries.
-            const auto duplicate = std::find_if(
-                _stack.begin() + base, _stack.end(),
-                [&](const JsonValue& other) {
-                    return other._key == member._key;
-                });
-            if (duplicate != _stack.end())
-                *duplicate = std::move(member);
-            else
-                push(std::move(member));
+            const auto end = _stack.begin() + member;
+            const auto first =
+                std::find_if(_stack.begin() + base, end,
+                             [&](const JsonValue& other) {
+                                 return other._key == end->_key;
+                             });
+            if (first != end) {
+                *first = std::move(*end);
+                _stack.pop_back();
+            }
             skipWhitespace();
             const char next = peek();
             if (next == ',') {
@@ -577,13 +584,13 @@ class JsonParser
             }
             fail("expected ',' or '}' in object");
         }
-        collect(out, base);
+        collect(slot, base);
     }
 
-    void parseArray(JsonValue& out)
+    void parseArray(std::size_t slot)
     {
         expect('[');
-        out._kind = JsonValue::Kind::Array;
+        _stack[slot]._kind = JsonValue::Kind::Array;
         const std::size_t base = _stack.size();
         skipWhitespace();
         if (peek() == ']') {
@@ -591,9 +598,7 @@ class JsonParser
             return;
         }
         for (;;) {
-            JsonValue item;
-            parseValue(item);
-            push(std::move(item));
+            parseValue(push());
             skipWhitespace();
             const char next = peek();
             if (next == ',') {
@@ -606,7 +611,7 @@ class JsonParser
             }
             fail("expected ',' or ']' in array");
         }
-        collect(out, base);
+        collect(slot, base);
     }
 
     void checkStringLength(const std::string& out)

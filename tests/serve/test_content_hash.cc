@@ -10,7 +10,9 @@
  */
 
 #include <cctype>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -100,6 +102,50 @@ TEST(ContentHasher, TagsPreventFieldAliasing)
     ContentHasher two;
     two.tag("samples").mix(std::uint64_t{1});
     EXPECT_NE(one.digest(), two.digest());
+}
+
+TEST(ContentHasher, IntegersHashAsTheirEightBytes)
+{
+    // mix(uint64) folds the seven zero bytes of a value below 256 into
+    // one multiply; the digest must stay plain FNV-1a over the 8
+    // little-endian bytes, for those values and every other shape.
+    const auto byteByByte = [](std::uint64_t state, std::uint64_t value) {
+        for (int shift = 0; shift < 64; shift += 8) {
+            state ^= (value >> shift) & 0xffu;
+            state *= 0x100000001b3ULL;
+        }
+        return state;
+    };
+    std::vector<std::uint64_t> values = {0,
+                                         1,
+                                         0xff,
+                                         0x100,
+                                         0x8000000000000000ULL,
+                                         0x0100000000000001ULL,
+                                         0x00ff00ff00ff0000ULL,
+                                         ~std::uint64_t{0}};
+    for (std::uint64_t small = 0; small < 300; ++small)
+        values.push_back(small);
+    std::uint64_t bits = 0x9e3779b97f4a7c15ULL;
+    for (int i = 0; i < 4096; ++i) {
+        bits ^= bits << 13;
+        bits ^= bits >> 7;
+        bits ^= bits << 17;
+        // Clear a random byte range: zero runs of every length.
+        const int from = static_cast<int>(bits % 8);
+        const int to = from + static_cast<int>((bits >> 8) % (9 - from));
+        std::uint64_t value = bits;
+        for (int byte = from; byte < to; ++byte)
+            value &= ~(std::uint64_t{0xff} << (8 * byte));
+        values.push_back(value);
+    }
+    ContentHasher hasher;
+    std::uint64_t expected = hasher.digest();
+    for (const std::uint64_t value : values) {
+        hasher.mix(value);
+        expected = byteByByte(expected, value);
+        ASSERT_EQ(hasher.digest(), expected) << std::hex << value;
+    }
 }
 
 TEST(ContentHashDesign, EqualDesignsShareTheHash)
