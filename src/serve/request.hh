@@ -109,9 +109,11 @@ struct EvalRequest
      * Chiplet sweep spec (chiplet_pareto only). When the request omits
      * "chiplet", the parser fills in ChipletSweepSpec::defaultsFor()
      * over the design's processes, so this is always fully populated
-     * for a chiplet_pareto request.
+     * for a chiplet_pareto request. Every other kind leaves its axes
+     * empty, so constructing a request allocates nothing here.
      */
-    ChipletSweepSpec chiplet;
+    ChipletSweepSpec chiplet{
+        .partitions = {}, .redundancy = {}, .split_fractions = {}};
     /** Wall-clock budget in seconds; 0 = server default. */
     double deadline_s = 0.0;
     /** Skip the result cache for this request (still computes). */

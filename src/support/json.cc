@@ -351,13 +351,23 @@ isNumberByte(char c)
 bool
 strtodAcceptsTiny(std::string_view run)
 {
-    static const locale_t c_locale =
-        newlocale(LC_ALL_MASK, "C", static_cast<locale_t>(nullptr));
+    /** The "C" locale, held for the life of the process. */
+    struct CLocale
+    {
+        CLocale() = default;
+        CLocale(const CLocale&) = delete;
+        CLocale& operator=(const CLocale&) = delete;
+        ~CLocale() { freelocale(handle); }
+
+        locale_t handle =
+            newlocale(LC_ALL_MASK, "C", static_cast<locale_t>(nullptr));
+    };
+    static const CLocale c_locale;
     const std::string text(run); // strtod needs a terminated string
     char* end = nullptr;
     const int saved = errno;
     errno = 0;
-    (void)strtod_l(text.c_str(), &end, c_locale);
+    (void)strtod_l(text.c_str(), &end, c_locale.handle);
     const bool range_error = errno == ERANGE;
     errno = saved;
     return !range_error && end == text.c_str() + text.size();

@@ -195,11 +195,12 @@ class JsonValue
      * the key is absent.
      */
     const JsonValue& at(std::string_view name) const;
-    /** Member lookup: nullptr when absent or when this is no object. */
-    const JsonValue* find(std::string_view name) const;
 
   private:
     friend class detail::JsonParser;
+
+    /** Member lookup: nullptr when absent or when this is no object. */
+    const JsonValue* find(std::string_view name) const;
 
     Kind _kind = Kind::Null;
     bool _bool = false;

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -63,6 +65,33 @@ TEST(JsonWriterTest, WritesNestedDocument)
     EXPECT_EQ(json.str(),
               "{\"name\":\"run\",\"count\":3,"
               "\"values\":[1.5,true,null]}");
+}
+
+TEST(JsonWriterTest, SeparatesSiblingsAtEveryDepth)
+{
+    // The writer tracks "a value was written" per open container; a
+    // deep document with siblings at each level checks the bookkeeping,
+    // and a finished writer hands its buffer over by move.
+    constexpr int kDepth = 40;
+    JsonWriter json;
+    std::string expected;
+    for (int depth = 0; depth < kDepth; ++depth) {
+        json.beginArray();
+        json.value(std::uint64_t{1});
+        expected += "[1,";
+    }
+    json.value(std::uint64_t{2});
+    expected += "2";
+    for (int depth = kDepth - 1; depth >= 0; --depth) {
+        json.endArray();
+        expected += "]";
+        if (depth > 0) {
+            json.value(std::uint64_t{3});
+            expected += ",3";
+        }
+    }
+    EXPECT_EQ(json.str(), expected);
+    EXPECT_EQ(std::move(json).str(), expected);
 }
 
 TEST(JsonWriterTest, OutputParsesBack)

@@ -128,17 +128,17 @@ class AllocBudget : public ::testing::Test
 
 TEST_F(AllocBudget, ParseMcTtmLine)
 {
-    EXPECT_LE(parseAllocations(kMcTtmLine), 13u);
+    EXPECT_LE(parseAllocations(kMcTtmLine), 10u);
 }
 
 TEST_F(AllocBudget, ParseCapacitySweepLine)
 {
-    EXPECT_LE(parseAllocations(kSweepLine), 15u);
+    EXPECT_LE(parseAllocations(kSweepLine), 12u);
 }
 
 TEST_F(AllocBudget, ParseTwoDieZen2Line)
 {
-    EXPECT_LE(parseAllocations(kZen2Line), 17u);
+    EXPECT_LE(parseAllocations(kZen2Line), 14u);
 }
 
 TEST_F(AllocBudget, CacheKeyIsOneString)
