@@ -264,14 +264,12 @@ parseDesign(const JsonValue& value, const ServeLimits& limits)
         design.dies.push_back(parseDie(items[i], i));
 
     // All-at-once semantic validation: one reply names every problem.
-    std::vector<std::string> violations = design.violations();
-    if (!violations.empty()) {
-        const std::size_t problems = violations.size();
+    const std::vector<std::string> violations = design.violations();
+    if (!violations.empty())
         reject("invalid-design",
-               "design fails validation with " + std::to_string(problems) +
-                   " violation(s)",
-               std::move(violations));
-    }
+               "design fails validation with " +
+                   std::to_string(violations.size()) + " violation(s)",
+               violations);
     return design;
 }
 
@@ -544,6 +542,8 @@ parseRequestLine(const std::string& line, const ServeLimits& limits)
         parsed.error.code = "internal";
         parsed.error.message = unexpected.what();
     }
+    // A failure echoes the id if it parsed, and carries no half-read
+    // request.
     parsed.error.id = std::move(request.id);
     request = EvalRequest{};
     return parsed;

@@ -112,8 +112,12 @@ struct EvalRequest
      * for a chiplet_pareto request. Every other kind leaves its axes
      * empty, so constructing a request allocates nothing here.
      */
-    ChipletSweepSpec chiplet{
-        .partitions = {}, .redundancy = {}, .split_fractions = {}};
+    ChipletSweepSpec chiplet{.partitions = {},
+                             .nodes = {},
+                             .redundancy = {},
+                             .split_fractions = {},
+                             .secondary_node = {},
+                             .cost = {}};
     /** Wall-clock budget in seconds; 0 = server default. */
     double deadline_s = 0.0;
     /** Skip the result cache for this request (still computes). */

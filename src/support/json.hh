@@ -30,16 +30,20 @@
  * C's strtod accepts for such a run in the "C" locale: one leading
  * `+` is allowed (`+5`), `.5` and `5.` are numbers, and a run that
  * strtod would not consume whole (`1e`, `--1`, `1.2.3`) is rejected.
- * Overflow (`1e400`) and underflow are rejected as strtod's ERANGE
- * rejects them: a result that is zero from non-zero digits, or a
- * subnormal that is not exact (`1e-310`, `4.9e-324`). Every rejection
- * reads "invalid number '<run>'" at the byte just past the run.
+ * Overflow (`1e400`) is rejected, and so is underflow wherever strtod
+ * reports ERANGE: a non-zero run that rounds to zero, an inexact
+ * subnormal (`1e-310`, `4.9e-324`), or a run just below DBL_MIN that
+ * strtod counts as tiny (`2.2250738585072012e-308`). A run whose value
+ * is at most DBL_MIN is rare, and strtod itself, in the "C" locale,
+ * decides it. Every rejection reads "invalid number '<run>'" at the
+ * byte just past the run.
  *
- * Cost. A document parses with one allocation per non-empty object or
- * array (members gather on a stack the parser reuses, then move into a
- * vector of exactly their size), plus one per string or key longer
- * than the standard library's short-string buffer. Numbers, literals
- * and member lookups allocate nothing.
+ * Cost. A document parses with one allocation for the parser's stack,
+ * one per non-empty object or array (each value is parsed in place on
+ * the stack, and a container's members move into a vector of exactly
+ * their number when it closes), and one per string or key longer than
+ * the standard library's short-string buffer. Numbers, literals and
+ * member lookups allocate nothing.
  */
 
 #include <cstddef>
