@@ -344,9 +344,9 @@ isNumberByte(char c)
 /**
  * Whether C's strtod, in the "C" locale, consumes all of @p run
  * without ERANGE. Only runs whose value is a non-zero magnitude of at
- * most DBL_MIN get here: there strtod rejects an inexact subnormal and
- * an input that is tiny before it rounds up to DBL_MIN, and from_chars
- * reports neither.
+ * most DBL_MIN get here: there strtod rejects an inexact subnormal,
+ * and an input just below DBL_MIN that it counts as tiny even though
+ * it rounds up to DBL_MIN; from_chars reports neither.
  */
 bool
 strtodAcceptsTiny(std::string_view run)
