@@ -28,6 +28,9 @@
  *    connections; oversized lines are cut and answered structurally;
  *  - admission is bounded (--queue): overload sheds with a structured
  *    "overloaded" reply instead of queueing unboundedly;
+ *  - each admitted request is evaluated on its connection's own
+ *    thread (the pipe's, in --pipe mode); --workers caps how many
+ *    evaluate at once, and the rest of the admitted ones wait;
  *  - identical concurrent requests coalesce onto one evaluation
  *    (single-flight, observable via serve.coalesce.* in stats);
  *  - every request runs under a wall-clock deadline (--deadline or
@@ -111,7 +114,9 @@ usage()
            "                 [--read-deadline s] [--idle-timeout s]\n"
            "                 [--drain-grace s]\n"
            "                 [--fault-rate p] [--fault-seed n]\n"
-           "                 [--metrics file.json] [--manifest file.json]\n";
+           "                 [--metrics file.json] [--manifest file.json]\n"
+           "--workers caps the evaluations that run at once; each runs on\n"
+           "the thread of the connection that sent it.\n";
     std::exit(2);
 }
 

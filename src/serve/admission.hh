@@ -5,8 +5,9 @@
  * @file
  * Bounded admission control for ttm_serve.
  *
- * The gate sits in front of the evaluation thread pool and bounds how
- * many requests may be in flight (queued + executing) at once. A
+ * The gate sits in front of evaluation and bounds how many requests
+ * may be in flight at once, counting those that wait for one of the
+ * server's evaluation permits and those that evaluate. A
  * request that arrives while the gate is full is *shed* immediately
  * with a structured "overloaded" reply instead of queueing unboundedly
  * — under flood the server stays responsive (health checks and cache
@@ -20,6 +21,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 
 namespace ttmcas::serve {
@@ -36,7 +38,7 @@ class AdmissionGate
         Draining, ///< server shutting down — reply "draining"
     };
 
-    /** A gate admitting at most @p capacity concurrent requests. */
+    /** A gate admitting at most @p capacity (>= 1) concurrent requests. */
     explicit AdmissionGate(std::size_t capacity);
 
     /** Try to take a slot. Admitted requires a matching leave(). */
@@ -75,14 +77,19 @@ class AdmissionGate
 class AdmissionSlot
 {
   public:
+    /** An empty holder: releases nothing. */
     AdmissionSlot() = default;
+    /** Hold a slot that @p gate admitted (tryEnter() returned Admitted). */
     explicit AdmissionSlot(AdmissionGate& gate) : _gate(&gate) {}
+    /** Release the slot if it is still held. */
     ~AdmissionSlot() { release(); }
 
+    /** Take over @p other's slot; @p other then holds none. */
     AdmissionSlot(AdmissionSlot&& other) noexcept : _gate(other._gate)
     {
         other._gate = nullptr;
     }
+    /** Release this slot, then take over @p other's. */
     AdmissionSlot& operator=(AdmissionSlot&& other) noexcept
     {
         if (this != &other) {
@@ -92,8 +99,8 @@ class AdmissionSlot
         }
         return *this;
     }
-    AdmissionSlot(const AdmissionSlot&) = delete;
-    AdmissionSlot& operator=(const AdmissionSlot&) = delete;
+    AdmissionSlot(const AdmissionSlot&) = delete;            ///< non-copyable
+    AdmissionSlot& operator=(const AdmissionSlot&) = delete; ///< non-copyable
 
     /** Release the slot early (destructor is then a no-op). */
     void release()

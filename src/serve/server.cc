@@ -1,8 +1,8 @@
 #include "serve/server.hh"
 
-#include <condition_variable>
 #include <utility>
 
+#include "support/error.hh"
 #include "support/json.hh"
 #include "support/metrics.hh"
 
@@ -54,8 +54,9 @@ EvalServer::EvalServer(TechnologyDb db, ServeOptions options)
       _evaluator(std::move(db), makeInjector(options)),
       _cache(options.cache),
       _gate(options.queue_bound),
-      _pool(options.workers)
+      _permits(static_cast<std::ptrdiff_t>(options.workers))
 {
+    TTMCAS_REQUIRE(options.workers >= 1, "server needs at least one worker");
     _recovered = _cache.recover();
     // Recovery can itself evict (a shrunk bound after restart).
     publishCacheMetrics();
@@ -64,10 +65,9 @@ EvalServer::EvalServer(TechnologyDb db, ServeOptions options)
 EvalServer::~EvalServer()
 {
     beginDrain(/*cancel_in_flight=*/true);
-    // Bounded wait: every job observes its cancelled token at chunk
-    // granularity, so this converges quickly even mid-evaluation.
+    // Bounded wait: every evaluation observes its cancelled token at
+    // chunk granularity, so this converges quickly even mid-evaluation.
     awaitIdle(std::chrono::milliseconds(30000));
-    _pool.wait();
 }
 
 std::string
@@ -171,65 +171,38 @@ EvalServer::runEvaluation(const EvalRequest& request)
 
     // Per-request cancellation: the client's deadline (capped by the
     // parser) or the server default, plus drain-time cancellation via
-    // the active-token registry.
-    auto token = std::make_shared<CancellationToken>();
+    // the active-token registry. The token is registered before the
+    // permit wait, so a drain also cancels requests still waiting.
+    CancellationToken token;
     const double deadline_s = request.deadline_s > 0.0
                                   ? request.deadline_s
                                   : _options.default_deadline_s;
     if (deadline_s > 0.0)
-        token->setDeadlineAfter(deadline_s);
+        token.setDeadlineAfter(deadline_s);
     {
         std::lock_guard<std::mutex> lock(_active_mutex);
         if (_gate.draining())
-            token->requestCancel();
-        _active.insert(token);
+            token.requestCancel();
+        _active.insert(&token);
     }
 
-    struct Job
-    {
-        std::mutex mutex;
-        std::condition_variable done_cv;
-        bool done = false;
-        bool internal_error = false;
-        std::string internal_message;
-        EvalOutcome outcome;
-    };
-    auto job = std::make_shared<Job>();
-    _pool.submit([this, job, token, request] {
-        EvalOutcome outcome;
-        bool failed = false;
-        std::string message;
-        try {
-            outcome = _evaluator.evaluate(request, *token);
-        } catch (const std::exception& error) {
-            // Belt and braces: evaluation isolates per-point failures,
-            // but nothing that *does* escape may reach the pool (its
-            // wait() would rethrow on the shutdown path).
-            failed = true;
-            message = error.what();
-        }
-        std::lock_guard<std::mutex> lock(job->mutex);
-        job->outcome = std::move(outcome);
-        job->internal_error = failed;
-        job->internal_message = std::move(message);
-        job->done = true;
-        job->done_cv.notify_all();
-    });
-
-    {
-        std::unique_lock<std::mutex> lock(job->mutex);
-        job->done_cv.wait(lock, [&] { return job->done; });
-        if (job->internal_error) {
-            result.kind = FlightResult::Kind::InternalError;
-            result.message = std::move(job->internal_message);
-        } else {
-            result.kind = FlightResult::Kind::Outcome;
-            result.outcome = std::move(job->outcome);
-        }
+    _permits.acquire();
+    try {
+        result.outcome = _evaluator.evaluate(request, token);
+        result.kind = FlightResult::Kind::Outcome;
+    } catch (const std::exception& error) {
+        // Belt and braces: evaluation isolates per-point failures, but
+        // anything that does escape becomes a structured reply.
+        result.kind = FlightResult::Kind::InternalError;
+        result.message = error.what();
+    } catch (...) {
+        result.kind = FlightResult::Kind::InternalError;
+        result.message = "evaluation threw a non-standard exception";
     }
+    _permits.release();
     {
         std::lock_guard<std::mutex> lock(_active_mutex);
-        _active.erase(token);
+        _active.erase(&token);
     }
     slot.release();
     return result;
@@ -350,7 +323,7 @@ EvalServer::beginDrain(bool cancel_in_flight)
     if (!cancel_in_flight)
         return;
     std::lock_guard<std::mutex> lock(_active_mutex);
-    for (const auto& token : _active)
+    for (CancellationToken* token : _active)
         token->requestCancel();
 }
 
@@ -399,7 +372,7 @@ EvalServer::healthReply(const std::string& id) const
     json.field("capacity",
                static_cast<std::uint64_t>(_gate.capacity()));
     json.field("workers",
-               static_cast<std::uint64_t>(_pool.threadCount()));
+               static_cast<std::uint64_t>(_options.workers));
     json.endObject();
     return std::move(json).str();
 }

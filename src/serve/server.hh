@@ -8,9 +8,10 @@
  * EvalServer::handleLine() maps one NDJSON request line to one reply
  * line. Transports (the Unix-socket and TCP accept loops and the
  * stdin pipe loop in examples/ttm_serve.cpp) call it from their own
- * threads; the method is fully thread-safe and NEVER throws on client
- * input — any line, hostile or not, produces exactly one structured
- * reply.
+ * threads, and the request is evaluated on the calling thread: the
+ * server owns no threads. The method is fully thread-safe and NEVER
+ * throws on client input — any line, hostile or not, produces exactly
+ * one structured reply.
  *
  * Request flow:
  *
@@ -22,8 +23,9 @@
  *        leads, the rest block on the leader's published result with
  *        their own deadlines
  *     -> admission gate (full -> "overloaded", draining -> "draining")
- *     -> thread-pool evaluation under a per-request CancellationToken
- *        with a wall-clock deadline
+ *     -> a permit (at most `workers` evaluate at once), then
+ *        evaluation on the calling thread under a per-request
+ *        CancellationToken with a wall-clock deadline
  *     -> complete results enter the crash-safe bounded cache; partial
  *        results are returned with status "deadline_exceeded" /
  *        "cancelled"
@@ -40,8 +42,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
+#include <semaphore>
 #include <string>
 #include <unordered_set>
 
@@ -50,7 +52,6 @@
 #include "serve/request.hh"
 #include "serve/result_cache.hh"
 #include "serve/singleflight.hh"
-#include "support/threadpool.hh"
 #include "tech/technology_db.hh"
 
 namespace ttmcas::serve {
@@ -58,12 +59,17 @@ namespace ttmcas::serve {
 /** Configuration of an EvalServer. */
 struct ServeOptions
 {
-    /** Evaluation worker threads. */
+    /**
+     * Evaluations that run at once, each on the thread that called
+     * EvalServer::handleLine(); more admitted requests wait. The server
+     * owns no threads, so it must outlive every handleLine() call (the
+     * transports' ConnectionTracker guarantees this).
+     */
     std::size_t workers = 4;
     /**
-     * Admission bound: requests in flight (queued + executing) before
-     * the server sheds with "overloaded". Must be >= workers to make
-     * the extra slots act as a bounded queue.
+     * Admission bound: requests in flight (waiting for a permit +
+     * evaluating) before the server sheds with "overloaded". Must be
+     * >= workers to make the extra slots act as a bounded queue.
      */
     std::size_t queue_bound = 16;
     /** Default per-request wall-clock deadline; 0 = none. */
@@ -107,17 +113,17 @@ class EvalServer
 {
   public:
     /**
-     * Build the engine: creates the pool and the cache, then runs
-     * cache recovery (deleting torn staging files and reloading valid
-     * entries) before any request can arrive.
+     * Build the engine: creates the cache, then runs cache recovery
+     * (deleting torn staging files and reloading valid entries) before
+     * any request can arrive.
      */
     EvalServer(TechnologyDb db, ServeOptions options);
 
-    /** Drains (cancelling in-flight work) and joins the pool. */
+    /** Drains, cancelling in-flight work, and waits (bounded) for it. */
     ~EvalServer();
 
-    EvalServer(const EvalServer&) = delete;
-    EvalServer& operator=(const EvalServer&) = delete;
+    EvalServer(const EvalServer&) = delete;            ///< non-copyable
+    EvalServer& operator=(const EvalServer&) = delete; ///< non-copyable
 
     /**
      * Handle one request line; returns exactly one reply line (no
@@ -127,8 +133,9 @@ class EvalServer
 
     /**
      * Stop admitting evaluation requests (idempotent). With
-     * @p cancel_in_flight every active request's token is cancelled,
-     * so running evaluations return partial results promptly.
+     * @p cancel_in_flight every admitted request's token is cancelled,
+     * whether it evaluates or still waits for a permit, so each
+     * returns a partial result promptly.
      */
     void beginDrain(bool cancel_in_flight);
 
@@ -150,10 +157,10 @@ class EvalServer
   private:
     std::string handleEval(const EvalRequest& request);
     /**
-     * Run one evaluation end to end — admission, pool submission,
-     * deadline — and return what happened as a FlightResult. Never
-     * throws; every admission decision and evaluation error maps to
-     * a FlightResult kind (the leader publishes it verbatim).
+     * Run one evaluation end to end — admission, permit, deadline — on
+     * the calling thread and return what happened as a FlightResult.
+     * Never throws; every admission decision and evaluation error maps
+     * to a FlightResult kind (the leader publishes it verbatim).
      */
     FlightResult runEvaluation(const EvalRequest& request);
     /**
@@ -180,7 +187,8 @@ class EvalServer
     Evaluator _evaluator;
     ResultCache _cache;
     AdmissionGate _gate;
-    ThreadPool _pool;
+    /** Caps the admitted requests that evaluate at once at workers. */
+    std::counting_semaphore<> _permits;
     SingleFlight _flights;
     std::size_t _recovered = 0;
 
@@ -196,9 +204,9 @@ class EvalServer
     /** Cache evictions already mirrored to serve.cache.evict. */
     std::atomic<std::uint64_t> _evictions_observed{0};
 
-    /** Tokens of in-flight requests, for drain-time cancellation. */
+    /** Tokens (on their threads' stacks) of admitted requests. */
     mutable std::mutex _active_mutex;
-    std::unordered_set<std::shared_ptr<CancellationToken>> _active;
+    std::unordered_set<CancellationToken*> _active;
 };
 
 } // namespace ttmcas::serve

@@ -2,9 +2,9 @@
  * @file
  * Heap-allocation budgets of the ttm_serve request path: parse one
  * request line, derive its cache key, look it up in the result cache
- * and render the reply. A small request spends more of its time here
- * than in the model, and the allocator is most of that cost, so each
- * stage's count is pinned. A change that adds an allocation to the
+ * and render the reply; and the whole of one served miss. A small
+ * request spends more of its time here than in the model, and the
+ * allocator is most of that cost, so each stage's count is pinned. A change that adds an allocation to the
  * hot path fails here; one that removes some should lower the budget.
  *
  * The binary replaces the global operator new with a counting one, so
@@ -23,6 +23,8 @@
 #include "serve/evaluator.hh"
 #include "serve/request.hh"
 #include "serve/result_cache.hh"
+#include "serve/server.hh"
+#include "tech/default_dataset.hh"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define TTMCAS_ALLOC_BUDGETS 0
@@ -177,6 +179,24 @@ TEST_F(AllocBudget, CacheHitCopiesOnlyThePayload)
                   EXPECT_TRUE(cache.lookup(key).has_value());
               }),
               1u);
+}
+
+TEST_F(AllocBudget, ServedMissEvaluatesOnTheCallingThread)
+{
+    // A no_cache line misses on every call: parse, key, admission,
+    // evaluation and reply, with nothing handed to another thread.
+    std::string line = kMcTtmLine;
+    line.insert(line.size() - 1, R"(,"no_cache":true)");
+    EvalServer server(defaultTechnologyDb(), ServeOptions{});
+    // The first call pays this thread's one-time setup.
+    (void)server.handleLine(line);
+    EXPECT_LE(allocationsOf([&] {
+                  const std::string reply = server.handleLine(line);
+                  EXPECT_NE(reply.find(R"("cache":"bypass")"),
+                            std::string::npos)
+                      << reply;
+              }),
+              26u);
 }
 
 } // namespace

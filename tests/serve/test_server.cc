@@ -278,9 +278,12 @@ TEST(EvalServerTest, RestartedServerServesRecoveredEntries)
     std::filesystem::remove_all(dir);
 }
 
-/** A deliberately slow line: 16-die max-samples Sobol, uncacheable. */
+/**
+ * A deliberately slow line: 16-die Sobol, uncacheable. At the default
+ * (maximum) sample count it runs for seconds.
+ */
 std::string
-fillerLine(double deadline_s)
+fillerLine(double deadline_s, std::size_t samples = 1048576)
 {
     std::string line =
         R"({"id":"filler","kind":"sobol_ttm","design":{"dies":[)";
@@ -290,7 +293,8 @@ fillerLine(double deadline_s)
         line += R"({"process":"7nm","total_transistors":2.4e9,)"
                 R"("unique_transistors":2e8})";
     }
-    line += R"(]},"samples":1048576,"no_cache":true,"deadline_s":)" +
+    line += R"(]},"samples":)" + std::to_string(samples) +
+            R"(,"no_cache":true,"deadline_s":)" +
             std::to_string(deadline_s) + "}";
     return line;
 }
@@ -316,8 +320,8 @@ eventually(Predicate predicate,
 
 TEST(EvalServerTest, IdenticalConcurrentRequestsCoalesceOntoOneEval)
 {
-    // One worker: a slow filler occupies it, so the leader's pool job
-    // queues behind it — its flight stays open long enough for the
+    // One worker: a slow filler holds the one permit, so the leader
+    // waits for it — its flight stays open long enough for the
     // followers to join deterministically.
     ServeOptions options;
     options.workers = 1;
@@ -329,9 +333,9 @@ TEST(EvalServerTest, IdenticalConcurrentRequestsCoalesceOntoOneEval)
     ASSERT_TRUE(
         eventually([&] { return server.stats().in_flight == 1; }));
 
-    // The leader registers its flight in handleEval (the transport
-    // thread) before blocking on the pool, so once the leader counter
-    // ticks the flight is joinable.
+    // The leader registers its flight in handleEval before it waits
+    // for the permit, so once the leader counter ticks the flight is
+    // joinable.
     std::string leader_reply;
     std::thread leader([&] {
         leader_reply = server.handleLine(mcLine("lead"));
@@ -418,6 +422,42 @@ TEST(EvalServerTest, CoalescedFollowerDeadlineBeatsTheLeader)
     // The leader still completed normally afterwards.
     EXPECT_EQ(parseJson(leader_reply).at("status").asString(), "ok");
     EXPECT_GE(server.stats().deadline_exceeded, 1u);
+}
+
+TEST(EvalServerTest, DrainCancelsARequestWaitingForAPermit)
+{
+    // One permit, two admission slots: the second slow request is
+    // admitted but waits for the permit the first one holds. A quarter
+    // of the maximum samples still runs for over a second, and a
+    // cancelled Sobol request holds a buffer per sample, so this keeps
+    // the test's memory small.
+    ServeOptions options;
+    options.workers = 1;
+    options.queue_bound = 2;
+    options.default_deadline_s = 120.0;
+    EvalServer server(defaultTechnologyDb(), options);
+
+    std::vector<std::string> replies(2);
+    std::vector<std::thread> clients;
+    for (std::size_t i = 0; i < replies.size(); ++i)
+        clients.emplace_back([&server, &replies, i] {
+            replies[i] = server.handleLine(fillerLine(120.0, 262144));
+        });
+    // EXPECT (not ASSERT): the drain below must run either way, so the
+    // clients are always joined. A token registered after the drain
+    // began is cancelled at registration, so there is no race here.
+    EXPECT_TRUE(eventually([&] { return server.stats().in_flight == 2; }));
+
+    server.beginDrain(/*cancel_in_flight=*/true);
+    EXPECT_TRUE(server.awaitIdle(std::chrono::milliseconds(30000)));
+    for (std::thread& client : clients)
+        client.join();
+    for (const std::string& reply : replies) {
+        const JsonValue doc = parseJson(reply);
+        EXPECT_EQ(doc.at("status").asString(), "cancelled") << reply;
+        EXPECT_EQ(doc.at("cache").asString(), "bypass");
+    }
+    EXPECT_EQ(server.stats().cancelled, 2u);
 }
 
 TEST(EvalServerTest, StatsReplyExposesCoalesceAndCacheBounds)

@@ -75,7 +75,7 @@ def mc_request(req_id, seed, samples=32, extra=""):
 
 
 def filler_request(deadline_s):
-    """16-die max-samples Sobol: occupies one worker for deadline_s."""
+    """16-die max-samples Sobol: holds one evaluation permit for deadline_s."""
     dies = ",".join([DIE] * 16)
     return (
         f'{{"id":"filler","kind":"sobol_ttm","design":{{"dies":[{dies}]}},'
@@ -286,13 +286,13 @@ def phase_coalesce(binary, workdir):
     port = server.port
     followers = 5
 
-    # Occupy the lone worker so the leader's evaluation queues and the
-    # followers deterministically join its flight.
+    # The filler holds the one permit, so the leader waits for it and
+    # the followers deterministically join its flight.
     filler_sock = connect(port)
     filler_sock.sendall(filler_request(3.0).encode() + b"\n")
     eventually(
         lambda: (server_stats(port) or {}).get("in_flight", 0) >= 1,
-        what="filler to occupy the worker",
+        what="filler to hold the permit",
     )
 
     burst_line = mc_request("burst", seed=42, samples=64)
