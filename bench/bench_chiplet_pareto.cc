@@ -2,12 +2,14 @@
  * @file
  * Chiplet-economics explorer microbench: wall-clock per candidate of
  * the joint TTM/CAS/cost Pareto sweep (opt/chiplet_explorer.hh) at
- * 24 / 96 / 384 candidates, serial vs 8 threads, on the compiled
- * batch path vs the scalar oracle. Verifies that the serial and
- * 8-thread ChipletParetoResults — and the batch and scalar paths —
- * agree bitwise at every size while timing them, so the bench doubles
- * as a determinism check and exits non-zero on any mismatch. Writes
- * bench_out/BENCH_chiplet_pareto.json for the CI artifact trail.
+ * 24 / 96 / 384 candidates, serial vs bench::speedupThreads() threads
+ * (8, or the core count when lower), on the compiled batch path vs
+ * the scalar oracle. Verifies that the serial and parallel
+ * ChipletParetoResults — and the batch and scalar paths — agree
+ * bitwise at every size while timing them, so the bench doubles as a
+ * determinism check and exits non-zero on any mismatch. Writes
+ * bench_out/BENCH_chiplet_pareto.json (thread count included) for the
+ * CI artifact trail.
  */
 
 #include <chrono>
@@ -79,13 +81,13 @@ struct SizeRow
 {
     std::size_t candidates = 0;
     double serial_us_per_candidate = 0.0;
-    double threads8_us_per_candidate = 0.0;
+    double parallel_us_per_candidate = 0.0;
     double scalar_us_per_candidate = 0.0;
     bool bitwise_identical = false;
 
     double speedup() const
     {
-        return serial_us_per_candidate / threads8_us_per_candidate;
+        return serial_us_per_candidate / parallel_us_per_candidate;
     }
 };
 
@@ -102,23 +104,25 @@ main()
     const double n_chips = 10e6;
     const MarketConditions market;
     const std::vector<std::size_t> sizes{24, 96, 384};
+    const std::size_t threads = bench::speedupThreads();
 
     std::vector<SizeRow> rows;
-    std::cout << "  cands    serial us/cand    8-thread us/cand"
-                 "    scalar us/cand    speedup\n";
+    std::printf("  cands    serial us/cand    %zu-thread us/cand"
+                "    scalar us/cand    speedup\n",
+                threads);
     for (const std::size_t n : sizes) {
         const ChipletSweepSpec spec = specOfSize(n);
         SizeRow row;
         row.candidates = spec.candidateCount();
 
         // Warm-up runs also provide the identity checks: serial vs
-        // 8 threads, and compiled batch vs the scalar oracle.
+        // parallel, and compiled batch vs the scalar oracle.
         const ChipletParetoResult serial = explorer.run(
             a11, n_chips, market, spec,
             explorerOptions(1, EvalPath::kBatch));
         const ChipletParetoResult parallel = explorer.run(
             a11, n_chips, market, spec,
-            explorerOptions(8, EvalPath::kBatch));
+            explorerOptions(threads, EvalPath::kBatch));
         const ChipletParetoResult scalar = explorer.run(
             a11, n_chips, market, spec,
             explorerOptions(1, EvalPath::kScalar));
@@ -129,9 +133,9 @@ main()
             explorer.run(a11, n_chips, market, spec,
                          explorerOptions(1, EvalPath::kBatch));
         }) * 1e3 / count;
-        row.threads8_us_per_candidate = timeMs([&] {
+        row.parallel_us_per_candidate = timeMs([&] {
             explorer.run(a11, n_chips, market, spec,
-                         explorerOptions(8, EvalPath::kBatch));
+                         explorerOptions(threads, EvalPath::kBatch));
         }) * 1e3 / count;
         row.scalar_us_per_candidate = timeMs([&] {
             explorer.run(a11, n_chips, market, spec,
@@ -141,21 +145,22 @@ main()
 
         std::printf("%7zu %17.1f %19.1f %17.1f %10s%s\n",
                     row.candidates, row.serial_us_per_candidate,
-                    row.threads8_us_per_candidate,
+                    row.parallel_us_per_candidate,
                     row.scalar_us_per_candidate, bench::speedupText(row.speedup()).c_str(),
                     row.bitwise_identical ? "" : "  [MISMATCH]");
     }
 
     std::ostringstream json;
     json << "{\n  \"design\": \"a11-7nm\",\n"
-         << "  \"kernel\": \"ChipletExplorer::run\",\n  \"sizes\": [\n";
+         << "  \"kernel\": \"ChipletExplorer::run\",\n"
+         << "  \"threads\": " << threads << ",\n  \"sizes\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const SizeRow& row = rows[i];
         json << "    {\"candidates\": " << row.candidates
              << ", \"serial_us_per_candidate\": "
              << row.serial_us_per_candidate
-             << ", \"threads8_us_per_candidate\": "
-             << row.threads8_us_per_candidate
+             << ", \"parallel_us_per_candidate\": "
+             << row.parallel_us_per_candidate
              << ", \"scalar_us_per_candidate\": "
              << row.scalar_us_per_candidate
              << ", \"speedup\": " << bench::speedupJson(row.speedup())

@@ -1,5 +1,6 @@
 #include "bench_common.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <thread>
@@ -38,19 +39,19 @@ spliceField(std::string& object, const std::string& key,
     object.replace(object.size() - 1, 1, tail);
 }
 
-/** True when this host can run kSpeedupThreads threads in parallel. */
-bool
-speedupMeasurable()
-{
-    return std::thread::hardware_concurrency() >= kSpeedupThreads;
-}
-
 } // namespace
+
+std::size_t
+speedupThreads()
+{
+    const std::size_t cores = std::thread::hardware_concurrency();
+    return std::clamp<std::size_t>(cores, 1, kSpeedupThreads);
+}
 
 std::string
 speedupText(double speedup)
 {
-    if (!speedupMeasurable())
+    if (speedupThreads() <= 1)
         return "n/a";
     char cell[32];
     std::snprintf(cell, sizeof(cell), "%.2fx", speedup);
@@ -60,7 +61,7 @@ speedupText(double speedup)
 std::string
 speedupJson(double speedup)
 {
-    if (!speedupMeasurable())
+    if (speedupThreads() <= 1)
         return "null";
     std::ostringstream value;
     value << speedup;

@@ -49,14 +49,20 @@ void emitCsv(const std::string& name, const std::string& content);
 void emitBenchJson(const std::string& name,
                    const std::string& json_object);
 
-/** Thread count of the benches' parallel-speedup runs. */
+/** Thread count the benches' parallel-speedup runs ask for at most. */
 inline constexpr std::size_t kSpeedupThreads = 8;
 
 /**
- * A kSpeedupThreads-thread speedup as a table cell ("1.23x") and as a
- * JSON value. Below kSpeedupThreads hardware threads the ratio
- * measures oversubscription, not parallelism, so these return "n/a"
- * and "null" instead.
+ * Threads the parallel-speedup runs use: min(kSpeedupThreads,
+ * hardware_concurrency), so a speedup never measures oversubscription.
+ * Each bench records the count in its BENCH JSON.
+ */
+std::size_t speedupThreads();
+
+/**
+ * A speedupThreads()-thread speedup as a table cell ("1.23x") and as a
+ * JSON value. On a one-core host there is no parallel run to compare,
+ * so these return "n/a" and "null" instead.
  */
 std::string speedupText(double speedup);
 /** @copydoc speedupText */

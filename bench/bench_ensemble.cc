@@ -2,13 +2,14 @@
  * @file
  * Ensemble microbench: wall-clock per scenario path of the disruption
  * ensemble (core/ensemble.hh) at N = 16 / 64 / 256 paths, serial vs
- * 8 threads, split into the sampling-only cost (Markov chain + Hawkes
- * cascade + phase composition) and the full evaluate cost (timeline
- * TTM + CAS per path + per-regime reduction). Verifies the serial and
- * 8-thread EnsembleResults agree bitwise at every size while timing
- * them — the bench doubles as a determinism check and exits non-zero
- * on any mismatch. Writes bench_out/BENCH_ensemble.json for the CI
- * artifact trail.
+ * bench::speedupThreads() threads (8, or the core count when lower),
+ * split into the sampling-only cost (Markov chain + Hawkes cascade +
+ * phase composition) and the full evaluate cost (timeline TTM + CAS
+ * per path + per-regime reduction). Verifies the serial and parallel
+ * EnsembleResults agree bitwise at every size while timing them — the
+ * bench doubles as a determinism check and exits non-zero on any
+ * mismatch. Writes bench_out/BENCH_ensemble.json (thread count
+ * included) for the CI artifact trail.
  */
 
 #include <chrono>
@@ -63,12 +64,12 @@ struct SizeRow
     std::size_t paths = 0;
     double sample_us_per_path = 0.0;
     double serial_us_per_path = 0.0;
-    double threads8_us_per_path = 0.0;
+    double parallel_us_per_path = 0.0;
     bool bitwise_identical = false;
 
     double speedup() const
     {
-        return serial_us_per_path / threads8_us_per_path;
+        return serial_us_per_path / parallel_us_per_path;
     }
 };
 
@@ -85,10 +86,12 @@ main()
     const double n_chips = 10e6;
     const EnsembleSpec spec = EnsembleSpec::defaultsFor({"7nm"});
     const std::vector<std::size_t> sizes{16, 64, 256};
+    const std::size_t threads = bench::speedupThreads();
 
     std::vector<SizeRow> rows;
-    std::cout << "  paths    sample us/path    serial us/path"
-                 "    8-thread us/path    speedup\n";
+    std::printf("  paths    sample us/path    serial us/path"
+                "    %zu-thread us/path    speedup\n",
+                threads);
     for (const std::size_t n : sizes) {
         SizeRow row;
         row.paths = n;
@@ -97,7 +100,7 @@ main()
         const EnsembleResult serial = runner.run(
             a11, n_chips, {}, spec, ensembleOptions(n, 1));
         const EnsembleResult parallel = runner.run(
-            a11, n_chips, {}, spec, ensembleOptions(n, 8));
+            a11, n_chips, {}, spec, ensembleOptions(n, threads));
         row.bitwise_identical = serial == parallel;
 
         const double sample_ms = timeMs([&] {
@@ -107,32 +110,33 @@ main()
         const double serial_ms = timeMs([&] {
             runner.run(a11, n_chips, {}, spec, ensembleOptions(n, 1));
         });
-        const double threads8_ms = timeMs([&] {
-            runner.run(a11, n_chips, {}, spec, ensembleOptions(n, 8));
+        const double parallel_ms = timeMs([&] {
+            runner.run(a11, n_chips, {}, spec, ensembleOptions(n, threads));
         });
         row.sample_us_per_path =
             sample_ms * 1e3 / static_cast<double>(n);
         row.serial_us_per_path =
             serial_ms * 1e3 / static_cast<double>(n);
-        row.threads8_us_per_path =
-            threads8_ms * 1e3 / static_cast<double>(n);
+        row.parallel_us_per_path =
+            parallel_ms * 1e3 / static_cast<double>(n);
         rows.push_back(row);
 
         std::printf("%7zu %17.1f %17.1f %19.1f %10s%s\n", n,
                     row.sample_us_per_path, row.serial_us_per_path,
-                    row.threads8_us_per_path, bench::speedupText(row.speedup()).c_str(),
+                    row.parallel_us_per_path, bench::speedupText(row.speedup()).c_str(),
                     row.bitwise_identical ? "" : "  [MISMATCH]");
     }
 
     std::ostringstream json;
     json << "{\n  \"design\": \"a11-7nm\",\n"
-         << "  \"kernel\": \"EnsembleRunner::run\",\n  \"sizes\": [\n";
+         << "  \"kernel\": \"EnsembleRunner::run\",\n"
+         << "  \"threads\": " << threads << ",\n  \"sizes\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const SizeRow& row = rows[i];
         json << "    {\"paths\": " << row.paths
              << ", \"sample_us_per_path\": " << row.sample_us_per_path
              << ", \"serial_us_per_path\": " << row.serial_us_per_path
-             << ", \"threads8_us_per_path\": " << row.threads8_us_per_path
+             << ", \"parallel_us_per_path\": " << row.parallel_us_per_path
              << ", \"speedup\": " << bench::speedupJson(row.speedup())
              << ", \"bitwise_identical\": "
              << (row.bitwise_identical ? "true" : "false") << "}"
@@ -144,7 +148,7 @@ main()
     // Fail loudly (a CI-visible exit code) if determinism broke.
     for (const SizeRow& row : rows) {
         if (!row.bitwise_identical) {
-            std::cerr << "serial/8-thread mismatch at paths=" << row.paths
+            std::cerr << "serial/parallel mismatch at paths=" << row.paths
                       << "\n";
             return 1;
         }

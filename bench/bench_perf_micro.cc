@@ -240,7 +240,9 @@ timeMs(Kernel&& kernel)
 /**
  * Time the two headline kernels at 1/2/4/8 threads, verify the
  * parallel results are bitwise-identical to serial, and write the
- * JSON snapshot the verify loop and CHANGES trail reference.
+ * JSON snapshot the verify loop and CHANGES trail reference. Each row
+ * records the count asked for and the count used: a call never runs
+ * more threads than the cores.
  */
 void
 writeParallelSnapshot()
@@ -292,7 +294,10 @@ writeParallelSnapshot()
              << "    \"samples\": " << samples << ",\n"
              << "    \"runs\": [\n";
         for (std::size_t i = 0; i < ms.size(); ++i) {
+            const ParallelConfig asked{
+                static_cast<std::size_t>(thread_counts[i])};
             json << "      {\"threads\": " << thread_counts[i]
+                 << ", \"threads_used\": " << asked.resolvedThreads()
                  << ", \"ms\": " << ms[i]
                  << ", \"speedup\": " << (ms[0] / ms[i]) << "}"
                  << (i + 1 < ms.size() ? "," : "") << "\n";

@@ -546,6 +546,8 @@ main(int argc, char** argv)
     manifest.tool = "ttm_cli";
     manifest.git_hash = obs::buildGitHash();
     manifest.seed = args.seed;
+    // The count the batch calls actually use: --threads (0 = all
+    // cores) clamped to the core count, as parallelFor clamps it.
     manifest.threads = ParallelConfig{args.threads}.resolvedThreads();
     manifest.setPolicy(args.failurePolicy());
 

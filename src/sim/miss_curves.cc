@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "support/error.hh"
+#include "support/threadpool.hh"
 
 namespace ttmcas {
 
@@ -142,12 +143,55 @@ averageMissCurves(const std::vector<Workload>& suite,
     MissCurve data = instr;
     data.instruction_stream = false;
 
-    for (const auto& workload : suite) {
-        const MissCurve wi = measureMissCurve(workload, true, options);
-        const MissCurve wd = measureMissCurve(workload, false, options);
-        for (std::size_t i = 0; i < sizes.size(); ++i) {
-            instr.miss_rates[i] += wi.miss_rates[i];
-            data.miss_rates[i] += wd.miss_rates[i];
+    // Stream k is suite[k / 2]'s instruction stream when k is even and
+    // its data stream when odd. A stream whose generator object already
+    // appears at an earlier k reuses that curve: measuring it again
+    // would give the same rates (each measurement resets the generator
+    // and reseeds its Rng), and measuring it concurrently would race.
+    const std::size_t streams = 2 * suite.size();
+    const auto generatorOf = [&](std::size_t k) {
+        const Workload& workload = suite[k / 2];
+        return k % 2 == 0 ? workload.instruction_stream.get()
+                          : workload.data_stream.get();
+    };
+    std::vector<std::size_t> slot(streams);
+    std::vector<std::size_t> measured;
+    for (std::size_t k = 0; k < streams; ++k) {
+        std::size_t first = 0;
+        while (generatorOf(first) != generatorOf(k))
+            ++first;
+        if (first == k) {
+            slot[k] = measured.size();
+            measured.push_back(k);
+        } else {
+            slot[k] = slot[first];
+        }
+    }
+
+    // One curve per claim on the process-wide pool. Each curve stays on
+    // the thread that measured it; only its rates are copied into this
+    // thread's buffer, so no pool thread's heap blocks are freed here.
+    // The sums below run serially in suite order, so every average is
+    // bitwise the serial loop's for any thread count.
+    const std::size_t points = sizes.size();
+    std::vector<double> rates(measured.size() * points);
+    parallelFor(ParallelConfig{0, 1}, measured.size(),
+                [&](std::size_t begin, std::size_t end) {
+                    for (std::size_t m = begin; m < end; ++m) {
+                        const std::size_t k = measured[m];
+                        const MissCurve curve = measureMissCurve(
+                            suite[k / 2], k % 2 == 0, options);
+                        std::copy(curve.miss_rates.begin(),
+                                  curve.miss_rates.end(),
+                                  rates.begin() + m * points);
+                    }
+                });
+    for (std::size_t w = 0; w < suite.size(); ++w) {
+        const double* wi = rates.data() + slot[2 * w] * points;
+        const double* wd = rates.data() + slot[2 * w + 1] * points;
+        for (std::size_t i = 0; i < points; ++i) {
+            instr.miss_rates[i] += wi[i];
+            data.miss_rates[i] += wd[i];
         }
     }
     const auto n = static_cast<double>(suite.size());

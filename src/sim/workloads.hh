@@ -21,7 +21,14 @@
 
 namespace ttmcas {
 
-/** One synthetic benchmark. */
+/**
+ * One synthetic benchmark. Copying a Workload shares its generators
+ * (they are held by shared_ptr), and measuring a stream resets and
+ * advances its generator. averageMissCurves measures distinct stream
+ * objects concurrently, so a generator nested inside two distinct
+ * streams (a RunTrace or MixedTrace child) must not be shared between
+ * them; a top-level stream object that repeats is measured once.
+ */
 struct Workload
 {
     std::string name;
@@ -34,7 +41,8 @@ struct Workload
 };
 
 /**
- * The default eight-workload suite (deterministic construction).
+ * The default eight-workload suite (deterministic construction). Every
+ * call builds fresh generators, shared by no other stream.
  * Names: tightloop, pointer, stream, stencil, branchy, dbscan,
  * matmul, mixedint.
  */

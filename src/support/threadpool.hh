@@ -3,21 +3,23 @@
 
 /**
  * @file
- * Concurrency layer: a fixed-size thread pool and deterministic
- * data-parallel loop helpers.
+ * Concurrency layer: a fixed-size thread pool, one process-wide
+ * instance of it, and deterministic data-parallel loop helpers.
  *
  * Every hot loop in the library (Monte-Carlo uncertainty propagation,
  * Saltelli/Sobol model evaluation, bootstrap resampling, design-space
- * sweeps) is embarrassingly parallel: independent model evaluations
- * whose results land in disjoint output slots. The helpers here
- * distribute such loops over a pool of std::thread workers while
- * keeping results *bitwise identical* to the serial path:
+ * sweeps, the suite's miss curves) is embarrassingly parallel:
+ * independent evaluations whose results land in disjoint output
+ * slots. The free helpers here distribute such loops over one
+ * process-wide pool of std::thread workers while keeping results
+ * *bitwise identical* to the serial path:
  *
  *  - parallelFor(config, n, body) chunks [0, n) into contiguous
- *    ranges of config.grain items and runs them on config.threads
- *    workers. The body must only write state owned by the indices it
- *    is given (e.g. out[i] for i in [begin, end)), so scheduling
- *    order cannot change the result.
+ *    ranges of config.grain items and runs them on up to
+ *    config.resolvedThreads() threads, the caller included. The body
+ *    must only write state owned by the indices it is given (e.g.
+ *    out[i] for i in [begin, end)), so scheduling order cannot change
+ *    the result.
  *  - Any randomness must come from per-item (or per-fixed-chunk) RNG
  *    streams split off a parent deterministically *before* the loop
  *    (Rng::split()), never from one shared generator, so the drawn
@@ -25,6 +27,18 @@
  *  - Reductions (sums, argmax, percentiles) are performed serially on
  *    the collected per-item buffers, in index order, so floating-point
  *    association is fixed.
+ *
+ * The process-wide pool is built on the first call that runs on more
+ * than one thread: hardware_concurrency() - 1 workers, because the
+ * calling thread runs chunks too. No later call creates a thread
+ * (the `pool.threads_started` counter shows it), and a process that
+ * never goes parallel starts none. Each call tracks its own chunks,
+ * so concurrent calls from different application threads each get
+ * exactly their own result and exception. A parallelFor called from
+ * inside a chunk body or a pool task runs inline on that thread, so
+ * nested loops cannot deadlock. The pool is a function-local static:
+ * its destructor joins the idle workers at exit, so no parallel call
+ * may still be running when static destructors run.
  *
  * Grain-size guidance: one "item" in these loops is a full model
  * evaluation (microseconds to milliseconds), so the default grain of
@@ -51,12 +65,20 @@ class CancellationToken;
  */
 struct ParallelConfig
 {
-    /** Worker count; 0 = std::thread::hardware_concurrency(). */
+    /**
+     * Threads a call may use, the caller included; 0 = all cores. A
+     * call never runs more threads than the process-wide pool holds
+     * (std::thread::hardware_concurrency(), caller included), so a
+     * larger request is clamped to the core count.
+     */
     std::size_t threads = 0;
     /** Items per work chunk (see grain-size guidance above). */
     std::size_t grain = 16;
 
-    /** The actual worker count (resolves the 0 = "all cores" default). */
+    /**
+     * The most threads a call uses: threads, with 0 resolved to the
+     * core count and larger requests clamped to it.
+     */
     std::size_t resolvedThreads() const;
 
     /** True when the loop should run inline on the caller. */
@@ -72,7 +94,9 @@ struct ParallelConfig
  * Tasks submitted with submit() run on the workers; wait() blocks the
  * caller until every submitted task (including tasks submitted *by*
  * tasks) has finished, and rethrows the first exception any task
- * threw. Destruction drains the queue and joins the workers.
+ * threw. Destruction drains the queue and joins the workers. Every
+ * worker a pool spawns adds one to the `pool.threads_started` counter.
+ * The free parallelFor runs on one process-wide instance.
  */
 class ThreadPool
 {
@@ -103,8 +127,11 @@ class ThreadPool
     void wait();
 
     /**
-     * Run @p body over [0, n) in contiguous chunks of @p grain items
-     * distributed over the workers; blocks until the range is done.
+     * Run @p body over [0, n) in contiguous chunks of @p grain items,
+     * claimed by the workers and the calling thread; blocks until the
+     * range is done. The call tracks its own chunks (not the pool-wide
+     * wait()), so calls from several threads may overlap, and the
+     * caller never waits for a worker that has not claimed a chunk.
      * The body must be safe to run concurrently on disjoint ranges.
      * When chunks throw, rethrows the exception from the *lowest*
      * chunk index — deterministic for any worker count, matching the
@@ -113,12 +140,12 @@ class ThreadPool
      * below it still run so the lowest failure is always found.
      *
      * When @p cancel is non-null the token is checked once per chunk:
-     * after it fires, workers stop claiming chunks and return, so the
-     * loop completes with some chunks never run (their output slots
-     * stay untouched — the point driver's post-pass turns
-     * them into structured Cancelled/DeadlineExceeded records). A
-     * chunk already executing is never interrupted mid-body, so every
-     * slot is either fully written or fully untouched.
+     * after it fires, no further chunk runs, so the loop completes
+     * with some chunks never run (their output slots stay untouched —
+     * the point driver's post-pass turns them into structured
+     * Cancelled/DeadlineExceeded records). A chunk already executing
+     * is never interrupted mid-body, so every slot is either fully
+     * written or fully untouched.
      */
     void parallelFor(std::size_t n, std::size_t grain,
                      const std::function<void(std::size_t, std::size_t)>&
@@ -139,12 +166,19 @@ class ThreadPool
 };
 
 /**
- * One-shot deterministic parallel loop: runs @p body over [0, n) on a
- * transient pool sized per @p config, or inline when the config is
- * serial (or the range fits a single chunk). See the file comment for
- * the determinism contract the body must obey. @p cancel, when
- * non-null, is honored at chunk granularity on both the pooled and
- * the inline path (ThreadPool::parallelFor documents the semantics).
+ * Deterministic parallel loop: runs @p body over [0, n) on the
+ * process-wide pool, using at most min(config.resolvedThreads(), chunk
+ * count) threads, the caller included. The pool (one worker per core
+ * but the caller's) is built by the first call that needs it and
+ * reused by every later one, so no later call starts a thread. The loop runs
+ * inline on the caller when the config is serial, when the range fits
+ * a single chunk, or when the caller is itself inside a parallelFor
+ * chunk or a pool task (nested loops run inline and cannot deadlock).
+ * See the file comment for the determinism contract the body must
+ * obey. @p cancel, when non-null, is honored at chunk granularity on
+ * both the pooled and the inline path (ThreadPool::parallelFor
+ * documents the semantics), and the lowest failed chunk's exception
+ * is the one rethrown.
  */
 void parallelFor(const ParallelConfig& config, std::size_t n,
                  const std::function<void(std::size_t, std::size_t)>& body,

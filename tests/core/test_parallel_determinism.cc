@@ -3,8 +3,9 @@
  * The parallel evaluation engine's determinism contract: for a given
  * seed, every parallel kernel must produce results bitwise-identical
  * to its serial path, independent of thread count and grain. These
- * tests run real multi-threaded pools (8 workers) and are labeled
- * "parallel" so `ctest -L parallel` exercises them under TSan.
+ * tests ask for up to 8 threads (a call runs on at most the core
+ * count, on the process-wide pool) and are labeled "parallel" so
+ * `ctest -L parallel` exercises them under TSan.
  */
 
 #include <cmath>

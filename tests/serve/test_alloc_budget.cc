@@ -2,10 +2,12 @@
  * @file
  * Heap-allocation budgets of the ttm_serve request path: parse one
  * request line, derive its cache key, look it up in the result cache
- * and render the reply; and the whole of one served miss. A small
- * request spends more of its time here than in the model, and the
- * allocator is most of that cost, so each stage's count is pinned. A change that adds an allocation to the
- * hot path fails here; one that removes some should lower the budget.
+ * and render the reply; the whole of one served miss; and the scalar
+ * TtmModel::evaluate and CasModel::cas under them. A small request
+ * spends more of its time here than in the model, and the allocator
+ * is most of that cost, so each stage's count is pinned. A change that
+ * adds an allocation to the hot path fails here; one that removes some
+ * should lower the budget.
  *
  * The binary replaces the global operator new with a counting one, so
  * it is its own executable. Sanitizer runtimes bring their own
@@ -20,6 +22,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cas.hh"
+#include "core/reference_designs.hh"
+#include "core/ttm_model.hh"
 #include "serve/evaluator.hh"
 #include "serve/request.hh"
 #include "serve/result_cache.hh"
@@ -101,6 +106,15 @@ allocationsOf(Run&& run)
     const std::size_t before = g_allocations.load();
     run();
     return g_allocations.load() - before;
+}
+
+/** Heap allocations of @p run's second call: the first may pay setup. */
+template <typename Run>
+std::size_t
+secondCallAllocations(Run&& run)
+{
+    run();
+    return allocationsOf(run);
 }
 
 class AllocBudget : public ::testing::Test
@@ -197,6 +211,50 @@ TEST_F(AllocBudget, ServedMissEvaluatesOnTheCallingThread)
                       << reply;
               }),
               26u);
+}
+
+// The scalar model chain that every kernel fallback, every served
+// sweep's failed point and the timeline model run. Its allocations are
+// the per-call processNodes() vector and the die and process names
+// copied into the result.
+TEST_F(AllocBudget, ScalarTtmEvaluateA11)
+{
+    const TtmModel model(defaultTechnologyDb());
+    const ChipDesign design = designs::a11("7nm");
+    EXPECT_LE(secondCallAllocations([&] {
+                  EXPECT_GT(model.evaluate(design, 10e6).total().value(), 0.0);
+              }),
+              5u);
+}
+
+TEST_F(AllocBudget, ScalarTtmEvaluateZen2)
+{
+    const TtmModel model(defaultTechnologyDb());
+    const ChipDesign design = designs::zen2(designs::Zen2Config::Original);
+    EXPECT_LE(secondCallAllocations([&] {
+                  EXPECT_GT(model.evaluate(design, 10e6).total().value(), 0.0);
+              }),
+              8u);
+}
+
+TEST_F(AllocBudget, ScalarCasA11)
+{
+    const CasModel model{TtmModel(defaultTechnologyDb())};
+    const ChipDesign design = designs::a11("7nm");
+    EXPECT_LE(secondCallAllocations([&] {
+                  EXPECT_GT(model.cas(design, 10e6), 0.0);
+              }),
+              5u);
+}
+
+TEST_F(AllocBudget, ScalarCasZen2)
+{
+    const CasModel model{TtmModel(defaultTechnologyDb())};
+    const ChipDesign design = designs::zen2(designs::Zen2Config::Original);
+    EXPECT_LE(secondCallAllocations([&] {
+                  EXPECT_GT(model.cas(design, 10e6), 0.0);
+              }),
+              8u);
 }
 
 } // namespace

@@ -39,10 +39,12 @@
 
 #include "serve/evaluator.hh"
 #include "serve/request.hh"
+#include "serve/server.hh"
 #include "stats/disruption.hh"
 #include "stats/fault_injection.hh"
 #include "support/cancel.hh"
 #include "support/json.hh"
+#include "support/metrics.hh"
 #include "tech/default_dataset.hh"
 
 namespace ttmcas::serve {
@@ -296,6 +298,37 @@ TEST(GoldenPayloadTest, EnsemblePayloadsCoverTheOutageGroup)
         EXPECT_EQ(outage.at("regime").asString(), "outage") << name;
         EXPECT_GT(outage.at("count").asNumber(), 0.0) << name;
     }
+}
+
+TEST(GoldenPayloadTest, ServingEveryKindStartsNoPoolThread)
+{
+    // ttm_serve evaluates with ParallelConfig::serial(), so no request
+    // kind runs a pooled loop and a served session starts no pool
+    // thread: pool.threads_started and pool.chunk_size stay where they
+    // were (both are recorded only on the pooled path).
+    obs::setMetricsEnabled(true);
+    const auto pooled = [] {
+        const obs::MetricsSnapshot snapshot = obs::snapshotMetrics();
+        std::uint64_t total = 0;
+        for (const auto& counter : snapshot.counters)
+            if (counter.name == "pool.threads_started")
+                total += counter.value;
+        for (const auto& histogram : snapshot.histograms)
+            if (histogram.name == "pool.chunk_size")
+                total += histogram.count;
+        return total;
+    };
+    const std::uint64_t before = pooled();
+    EvalServer server(defaultTechnologyDb(), ServeOptions{});
+    for (const Golden& golden : goldenSet()) {
+        if (golden.cancelled)
+            continue;
+        const std::string reply = server.handleLine(golden.line);
+        EXPECT_NE(reply.find(R"("status":"ok")"), std::string::npos)
+            << golden.name << ": " << reply;
+    }
+    EXPECT_EQ(pooled(), before);
+    obs::setMetricsEnabled(false);
 }
 
 TEST(GoldenPayloadTest, InjectedSweepFaultsFailOnlyTheirOwnPoints)

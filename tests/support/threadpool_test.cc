@@ -1,24 +1,48 @@
 #include "support/threadpool.hh"
 
+#include <algorithm>
 #include <atomic>
+#include <latch>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "support/error.hh"
+#include "support/metrics.hh"
 
 namespace ttmcas {
 namespace {
 
+std::size_t
+cores()
+{
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
+/** pool.threads_started now (0 while no pool has registered it). */
+std::uint64_t
+threadsStarted()
+{
+    for (const auto& counter : obs::snapshotMetrics().counters) {
+        if (counter.name == "pool.threads_started")
+            return counter.value;
+    }
+    return 0;
+}
+
 TEST(ParallelConfigTest, ResolvesZeroToHardwareConcurrency)
 {
     ParallelConfig config;
-    EXPECT_GE(config.resolvedThreads(), 1u);
+    EXPECT_EQ(config.resolvedThreads(), cores());
 
+    // A call never runs more threads than the process-wide pool holds.
     config.threads = 3;
-    EXPECT_EQ(config.resolvedThreads(), 3u);
-    EXPECT_FALSE(config.isSerial());
+    EXPECT_EQ(config.resolvedThreads(), std::min<std::size_t>(3, cores()));
+    EXPECT_EQ(config.isSerial(), cores() == 1);
+    config.threads = cores() + 5;
+    EXPECT_EQ(config.resolvedThreads(), cores());
 
     EXPECT_EQ(ParallelConfig::serial().resolvedThreads(), 1u);
     EXPECT_TRUE(ParallelConfig::serial().isSerial());
@@ -29,6 +53,17 @@ TEST(ThreadPoolTest, StartsAndJoinsRequestedWorkerCount)
     ThreadPool pool(4);
     EXPECT_EQ(pool.threadCount(), 4u);
     // Destructor joins cleanly with an empty queue.
+}
+
+TEST(ThreadPoolTest, CountsEveryWorkerItStarts)
+{
+    obs::setMetricsEnabled(true);
+    const std::uint64_t before = threadsStarted();
+    {
+        ThreadPool pool(3);
+    }
+    EXPECT_EQ(threadsStarted(), before + 3);
+    obs::setMetricsEnabled(false);
 }
 
 TEST(ThreadPoolTest, RejectsZeroWorkers)
@@ -214,6 +249,87 @@ TEST(ParallelMapTest, PropagatesException)
                                       return static_cast<int>(i);
                                   }),
                  ModelError);
+}
+
+TEST(ProcessPoolTest, LaterCallsStartNoThread)
+{
+    obs::setMetricsEnabled(true);
+    const std::uint64_t before = threadsStarted();
+    std::vector<int> visits(64, 0);
+    const auto body = [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i)
+            ++visits[i];
+    };
+    // The first parallel call builds the pool (unless an earlier test
+    // in this process did): at most one worker per core but the
+    // caller's.
+    parallelFor(ParallelConfig{0, 1}, visits.size(), body);
+    const std::uint64_t after_first = threadsStarted();
+    EXPECT_LE(after_first - before, cores() - 1);
+    for (int call = 0; call < 50; ++call)
+        parallelFor(ParallelConfig{0, 1}, visits.size(), body);
+    EXPECT_EQ(threadsStarted(), after_first);
+    for (int v : visits)
+        EXPECT_EQ(v, 51);
+    obs::setMetricsEnabled(false);
+}
+
+TEST(ProcessPoolTest, NestedParallelForRunsInlineAndCoversOnce)
+{
+    constexpr std::size_t kOuter = 16;
+    constexpr std::size_t kInner = 100;
+    std::vector<int> visits(kOuter * kInner, 0);
+    parallelFor(ParallelConfig{0, 1}, kOuter,
+                [&](std::size_t begin, std::size_t end) {
+                    for (std::size_t o = begin; o < end; ++o) {
+                        parallelFor(ParallelConfig{0, 7}, kInner,
+                                    [&](std::size_t b, std::size_t e) {
+                                        for (std::size_t i = b; i < e; ++i)
+                                            ++visits[o * kInner + i];
+                                    });
+                    }
+                });
+    for (int v : visits)
+        EXPECT_EQ(v, 1);
+}
+
+TEST(ProcessPoolTest, ConcurrentCallsEachRethrowTheirOwnLowestChunk)
+{
+    // Two application threads share the pool at once; each call must
+    // see exactly its own lowest failing chunk, never the other's.
+    const auto failingBody = [](const std::string& who, std::size_t low,
+                                std::size_t high) {
+        return [who, low, high](std::size_t begin, std::size_t) {
+            volatile double spin = 0.0;
+            for (int i = 0; i < 2000; ++i)
+                spin = spin + i;
+            if (begin == low || begin == high)
+                throw ModelError(who + " chunk " + std::to_string(begin));
+        };
+    };
+    for (int repeat = 0; repeat < 20; ++repeat) {
+        std::latch start(2);
+        std::string caught[2];
+        const auto call = [&](int slot, const std::string& who,
+                              std::size_t low, std::size_t high) {
+            start.arrive_and_wait();
+            try {
+                parallelFor(ParallelConfig{0, 1}, 64,
+                            failingBody(who, low, high));
+                caught[slot] = "no exception";
+            } catch (const ModelError& error) {
+                caught[slot] = error.what();
+            }
+        };
+        std::thread first(call, 0, "A", 3, 9);
+        std::thread second(call, 1, "B", 5, 12);
+        first.join();
+        second.join();
+        EXPECT_NE(caught[0].find("A chunk 3"), std::string::npos)
+            << "got: " << caught[0];
+        EXPECT_NE(caught[1].find("B chunk 5"), std::string::npos)
+            << "got: " << caught[1];
+    }
 }
 
 } // namespace
